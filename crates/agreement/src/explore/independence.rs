@@ -25,9 +25,9 @@
 //!   the pruning actually bites.
 //!
 //! Footprints over-approximate: a `ReadRange` reads its whole `within`
-//! pattern (the region's own spec is memory-side configuration the wire
-//! does not carry), and `ChangePerm` conflicts with everything on that
-//! memory — permissions gate every other request's Nak-or-apply
+//! pattern or window (the region's own spec is memory-side configuration
+//! the wire does not carry), and `ChangePerm` conflicts with everything
+//! on that memory — permissions gate every other request's Nak-or-apply
 //! outcome.
 //!
 //! [`Context`]: simnet::Context
@@ -192,34 +192,41 @@ pub fn may_overlap(a: RegAccess, b: RegAccess) -> bool {
     }
 }
 
-/// Whether two region specs can share a register. Distinct namespaces
-/// and incompatible fixed coordinates are provably disjoint; everything
-/// else is assumed to overlap.
+/// Whether two region specs can share a register. Distinct namespaces,
+/// incompatible fixed coordinates and second-coordinate ranges that do not
+/// intersect are provably disjoint; everything else is assumed to overlap.
 fn specs_may_overlap(p: RegionSpec, q: RegionSpec) -> bool {
     use RegionSpec::*;
     let coord = |x: Option<u64>, y: Option<u64>| match (x, y) {
         (Some(a), Some(b)) => a == b,
         _ => true,
     };
+    // Namespace, first and third coordinates, and the inclusive range of
+    // second coordinates (`None`: an empty window, which matches nothing).
+    let shape = |spec: RegionSpec| match spec {
+        Space(space) => (space, None, Some((0, u64::MAX)), None),
+        Pattern { space, a, b, c } => (space, a, Some(b.map_or((0, u64::MAX), |v| (v, v))), c),
+        Window {
+            space,
+            a,
+            b_lo,
+            b_hi,
+            c,
+        } => (space, a, (b_lo < b_hi).then(|| (b_lo, b_hi - 1)), c),
+        All | Exact(_) => unreachable!("matched before shaping"),
+    };
     match (p, q) {
         (All, _) | (_, All) => true,
         (Exact(r), other) | (other, Exact(r)) => other.contains(r),
-        (Space(s), Space(t)) => s == t,
-        (Space(s), Pattern { space, .. }) | (Pattern { space, .. }, Space(s)) => s == space,
-        (
-            Pattern {
-                space: s1,
-                a: a1,
-                b: b1,
-                c: c1,
-            },
-            Pattern {
-                space: s2,
-                a: a2,
-                b: b2,
-                c: c2,
-            },
-        ) => s1 == s2 && coord(a1, a2) && coord(b1, b2) && coord(c1, c2),
+        _ => {
+            let (s1, a1, b1, c1) = shape(p);
+            let (s2, a2, b2, c2) = shape(q);
+            let b_meet = match (b1, b2) {
+                (Some((lo1, hi1)), Some((lo2, hi2))) => lo1.max(lo2) <= hi1.min(hi2),
+                _ => false,
+            };
+            s1 == s2 && coord(a1, a2) && b_meet && coord(c1, c2)
+        }
     }
 }
 
@@ -365,5 +372,71 @@ mod tests {
             Pattern(RegionSpec::Space(1)),
             Pattern(RegionSpec::Space(2))
         ));
+    }
+
+    fn window(a: Option<u64>, b_lo: u64, b_hi: u64) -> RegionSpec {
+        RegionSpec::Window {
+            space: 1,
+            a,
+            b_lo,
+            b_hi,
+            c: Some(3),
+        }
+    }
+
+    fn column(b: Option<u64>) -> RegionSpec {
+        RegionSpec::Pattern {
+            space: 1,
+            a: None,
+            b,
+            c: Some(3),
+        }
+    }
+
+    #[test]
+    fn window_overlap_is_decided_by_the_second_coordinate() {
+        use RegAccess::Pattern;
+        let w = Pattern(window(None, 5, 10));
+        // A fixed second coordinate inside or outside the window.
+        assert!(!may_overlap(w, Pattern(column(Some(4)))));
+        assert!(may_overlap(w, Pattern(column(Some(5)))));
+        assert!(may_overlap(Pattern(column(Some(9))), w));
+        assert!(!may_overlap(Pattern(column(Some(10))), w));
+        assert!(may_overlap(w, Pattern(column(None))));
+        // Two windows: half-open ranges that only touch are disjoint.
+        assert!(!may_overlap(w, Pattern(window(None, 10, 20))));
+        assert!(may_overlap(w, Pattern(window(None, 9, 20))));
+        assert!(!may_overlap(w, Pattern(window(None, 0, 5))));
+        // The other coordinates still separate.
+        assert!(!may_overlap(
+            Pattern(window(Some(1), 0, 20)),
+            Pattern(window(Some(2), 0, 20))
+        ));
+        assert!(may_overlap(w, Pattern(RegionSpec::Space(1))));
+        assert!(!may_overlap(w, Pattern(RegionSpec::Space(2))));
+        // An empty window overlaps nothing but the conservative `All`.
+        let empty = Pattern(window(None, 7, 7));
+        assert!(!may_overlap(empty, Pattern(RegionSpec::Space(1))));
+        assert!(!may_overlap(empty, w));
+        assert!(may_overlap(empty, Pattern(RegionSpec::All)));
+        // Single registers are tested by membership.
+        assert!(may_overlap(w, RegAccess::Exact(RegId::new(1, 0, 7, 3))));
+        assert!(!may_overlap(w, RegAccess::Exact(RegId::new(1, 0, 10, 3))));
+    }
+
+    #[test]
+    fn window_range_read_conflicts_only_with_writes_inside_it() {
+        let scan = mem_req(
+            1,
+            7,
+            &MemRequest::ReadRange {
+                region: MR,
+                within: Some(window(None, 5, 10)),
+            },
+        );
+        for (b, inside) in [(4, false), (5, true), (9, true), (10, false)] {
+            let w = mem_req(2, 7, &write(RegId::new(1, 0, b, 3)));
+            assert_eq!(independent(&scan, &w), !inside, "write at b = {b}");
+        }
     }
 }

@@ -43,17 +43,23 @@
 //! (`depth > 1`) the engine therefore spends ops only where they pay:
 //!
 //! * **Row-probe discovery** — the focused sender's row is scanned with a
-//!   single strided range read (one op discovers every written slot, and
+//!   single range read (one op discovers every written live slot, and
 //!   the returned values skip the per-slot read entirely, going straight
 //!   to the copy step).
-//! * **Shared column audit** — one range read over all the sender's
-//!   columns audits every pending copy at once, amortizing the audit
-//!   across the window (the copy-before-audit order each slot needs is
-//!   preserved: a slot is only covered by an audit read issued after its
-//!   copy completed).
+//! * **Shared column audit** — one range read over the sender's columns
+//!   audits every pending copy at once, amortizing the audit across the
+//!   window (the copy-before-audit order each slot needs is preserved: a
+//!   slot is only covered by an audit read issued after its copy
+//!   completed).
 //! * **Idle-row backoff** — rows that read ⊥ are re-probed with
 //!   exponential backoff (capped), so rows that are idle in steady state
 //!   (followers never broadcast) stop consuming FIFO slots.
+//!
+//! Both range reads start at `Last[q]` and stop below [`RECEIPT_BIT`], so
+//! their cost tracks the live window rather than the run's history. They
+//! give the same decisions as reads of the whole row or columns would:
+//! every slot they can adopt or audit is at or above `Last[q]`, which
+//! only grows, and receipts are never slots.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -184,8 +190,8 @@ pub struct NebEngine {
     ready: BTreeMap<(Pid, u64), Delivery>,
     /// Poll ticks seen (the idle-row backoff clock).
     polls: u64,
-    /// Pipelined discovery: at most one in-flight whole-row range read
-    /// per focused sender, replacing per-slot probes.
+    /// Pipelined discovery: at most one in-flight row range read per
+    /// focused sender, replacing per-slot probes.
     row_probe: BTreeMap<Pid, RepId>,
     /// Completed copies awaiting the next shared column audit.
     await_audit: BTreeMap<(Pid, u64), NebSlot>,
@@ -376,17 +382,8 @@ impl NebEngine {
                     .next()
                     .is_some();
             if !busy && !self.row_probe.contains_key(&q) {
-                let rep = self.rep.read_range(
-                    ctx,
-                    client,
-                    ALL_REGION,
-                    Some(RegionSpec::Pattern {
-                        space: spaces::NEB,
-                        a: Some(q.0 as u64),
-                        b: None,
-                        c: Some(q.0 as u64),
-                    }),
-                );
+                let within = self.live_window(q, Some(q.0 as u64));
+                let rep = self.rep.read_range(ctx, client, ALL_REGION, Some(within));
                 self.row_probe.insert(q, rep);
             }
             self.maybe_launch_audit(ctx, client, q);
@@ -470,7 +467,7 @@ impl NebEngine {
     }
 
     /// Issues the shared column audit for `q` if none is in flight and
-    /// copies are waiting: one range read over all of `q`'s columns covers
+    /// copies are waiting: one range read over `q`'s live columns covers
     /// every pending slot at once.
     fn maybe_launch_audit(
         &mut self,
@@ -493,18 +490,22 @@ impl NebEngine {
             .into_iter()
             .map(|k| (k, self.await_audit.remove(&(q, k)).expect("listed above")))
             .collect();
-        let rep = self.rep.read_range(
-            ctx,
-            client,
-            ALL_REGION,
-            Some(RegionSpec::Pattern {
-                space: spaces::NEB,
-                a: None,
-                b: None,
-                c: Some(q.0 as u64),
-            }),
-        );
+        let within = self.live_window(q, None);
+        let rep = self.rep.read_range(ctx, client, ALL_REGION, Some(within));
         self.col_audit.insert(q, (rep, covered));
+    }
+
+    /// The registers `slots[a, b, q]` with `b ∈ [Last[q], RECEIPT_BIT)`:
+    /// the live part of `q`'s columns, of row `a` only when given (the
+    /// module docs say why this bound changes no decision).
+    fn live_window(&self, q: Pid, a: Option<u64>) -> RegionSpec {
+        RegionSpec::Window {
+            space: spaces::NEB,
+            a,
+            b_lo: self.last[&q],
+            b_hi: RECEIPT_BIT,
+            c: Some(q.0 as u64),
+        }
     }
 
     /// Drops every in-flight structure for `q` after it was caught
@@ -737,9 +738,9 @@ impl NebEngine {
             );
         }
         self.release_ready(q);
-        // The audit read covered q's whole column space, including q's
-        // own row — adopt any newly written in-window slots from it
-        // directly (audit doubles as discovery).
+        // The audit read covered q's live columns, including q's own
+        // row — adopt any newly written in-window slots from it directly
+        // (audit doubles as discovery).
         let fresh: BTreeMap<RegId, RegVal> = all
             .into_iter()
             .filter(|(reg, _)| reg.a == q.0 as u64 && reg.c == q.0 as u64)

@@ -32,11 +32,10 @@ pub struct MemoryActor<V, M> {
     /// responses an ordered map used to give.
     registers: HashMap<RegId, V>,
     /// Scratch buffer for assembling range-read rows (the swmr
-    /// scratch-pool pattern): matching rows are collected and sorted here,
-    /// whose capacity persists across scans, then cloned once into the
-    /// wire payload — a single exact-size allocation per scan instead of
-    /// the collect-and-grow churn of building the payload directly.
-    row_scratch: Vec<(RegId, V)>,
+    /// scratch-pool pattern): the matching register ids are collected and
+    /// sorted here, whose capacity persists across scans; each value is
+    /// then cloned once into an exact-size wire payload.
+    row_scratch: Vec<RegId>,
     legal: LegalChange,
     _msg: PhantomData<M>,
 }
@@ -92,6 +91,24 @@ where
         self.registers.get(&reg)
     }
 
+    /// The registers matching `spec` and `within`, in `RegId` order — the
+    /// order the ordered register store used to produce, so responses stay
+    /// deterministic. Each value is cloned once.
+    fn rows_within(&mut self, spec: RegionSpec, within: Option<RegionSpec>) -> Vec<(RegId, V)> {
+        let keys = &mut self.row_scratch;
+        keys.clear();
+        keys.extend(
+            self.registers
+                .keys()
+                .copied()
+                .filter(|r| spec.contains(*r) && within.is_none_or(|w| w.contains(*r))),
+        );
+        keys.sort_unstable();
+        keys.iter()
+            .map(|r| (*r, self.registers[r].clone()))
+            .collect()
+    }
+
     fn handle(&mut self, from: ActorId, req: MemRequest<V>) -> MemResponse<V> {
         match req {
             MemRequest::Read { region, reg } => match self.regions.get(&region) {
@@ -119,21 +136,8 @@ where
                 _ => MemResponse::Nak,
             },
             MemRequest::ReadRange { region, within } => match self.regions.get(&region) {
-                Some((spec, perm)) if perm.allows_read(from) => {
-                    let rows = &mut self.row_scratch;
-                    rows.clear();
-                    rows.extend(
-                        self.registers
-                            .iter()
-                            .filter(|(r, _)| {
-                                spec.contains(**r) && within.is_none_or(|w| w.contains(**r))
-                            })
-                            .map(|(r, v)| (*r, v.clone())),
-                    );
-                    // RegId order, as the ordered register store used to
-                    // produce: responses stay deterministic.
-                    rows.sort_unstable_by_key(|(r, _)| *r);
-                    MemResponse::Range(rows.clone())
+                Some(&(spec, ref perm)) if perm.allows_read(from) => {
+                    MemResponse::Range(self.rows_within(spec, within))
                 }
                 _ => MemResponse::Nak,
             },
@@ -395,6 +399,40 @@ mod tests {
             panic!("expected range")
         };
         assert_eq!(rows, &vec![(RegId::one(1, 1), 10), (RegId::one(1, 3), 30)]);
+    }
+
+    #[test]
+    fn window_range_read_is_bounded_and_sorted() {
+        let mut script: Vec<MemRequest<u64>> = [5u64, 2, 9, 3, 7, 4]
+            .into_iter()
+            .flat_map(|b| {
+                [0u64, 1].map(|c| MemRequest::Write {
+                    region: REGION,
+                    reg: RegId::new(1, 0, b, c),
+                    value: 10 * b + c,
+                })
+            })
+            .collect();
+        script.push(MemRequest::ReadRange {
+            region: REGION,
+            within: Some(RegionSpec::Window {
+                space: 1,
+                a: Some(0),
+                b_lo: 3,
+                b_hi: 7,
+                c: None,
+            }),
+        });
+        let out = run_script(LegalChange::Static, Permission::open(), script);
+        let MemResponse::Range(rows) = &out.last().unwrap().1 else {
+            panic!("expected range")
+        };
+        // b = 2 lies below the window, b = 7 and b = 9 at or past its end.
+        let want: Vec<(RegId, u64)> = [3u64, 4, 5]
+            .into_iter()
+            .flat_map(|b| [0u64, 1].map(|c| (RegId::new(1, 0, b, c), 10 * b + c)))
+            .collect();
+        assert_eq!(rows, &want);
     }
 
     #[test]

@@ -46,6 +46,21 @@ pub enum RegionSpec {
         /// Required third coordinate, or wildcard.
         c: Option<u64>,
     },
+    /// Like [`RegionSpec::Pattern`], but the second coordinate ranges over
+    /// the half-open interval `[b_lo, b_hi)` — a bounded address range, as
+    /// a real RDMA READ is.
+    Window {
+        /// Namespace to match.
+        space: u16,
+        /// Required first coordinate, or wildcard.
+        a: Option<u64>,
+        /// Lowest second coordinate matched.
+        b_lo: u64,
+        /// First second coordinate past the window.
+        b_hi: u64,
+        /// Required third coordinate, or wildcard.
+        c: Option<u64>,
+    },
 }
 
 impl RegionSpec {
@@ -70,6 +85,18 @@ impl RegionSpec {
                 space == reg.space
                     && a.is_none_or(|v| v == reg.a)
                     && b.is_none_or(|v| v == reg.b)
+                    && c.is_none_or(|v| v == reg.c)
+            }
+            RegionSpec::Window {
+                space,
+                a,
+                b_lo,
+                b_hi,
+                c,
+            } => {
+                space == reg.space
+                    && a.is_none_or(|v| v == reg.a)
+                    && (b_lo..b_hi).contains(&reg.b)
                     && c.is_none_or(|v| v == reg.c)
             }
         }
@@ -118,5 +145,22 @@ mod tests {
         };
         assert!(spec.contains(RegId::new(1, 2, 99, 4)));
         assert!(!spec.contains(RegId::new(1, 2, 99, 5)));
+    }
+
+    #[test]
+    fn window_bounds_the_second_coordinate() {
+        let spec = RegionSpec::Window {
+            space: 1,
+            a: None,
+            b_lo: 10,
+            b_hi: 12,
+            c: Some(4),
+        };
+        assert!(!spec.contains(RegId::new(1, 7, 9, 4)));
+        assert!(spec.contains(RegId::new(1, 7, 10, 4)));
+        assert!(spec.contains(RegId::new(1, 8, 11, 4)));
+        assert!(!spec.contains(RegId::new(1, 7, 12, 4)));
+        assert!(!spec.contains(RegId::new(1, 7, 10, 5)));
+        assert!(!spec.contains(RegId::new(2, 7, 10, 4)));
     }
 }

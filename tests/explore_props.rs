@@ -175,11 +175,26 @@ fn decode(kind: usize, space: u16, x: u64, y: u64, z: u64, val: u64) -> MemReque
         },
         3 => MemRequest::ReadRange {
             region: REGION,
-            within: match val % 4 {
+            within: match val % 6 {
                 0 => None,
                 1 => Some(RegionSpec::All),
                 2 => Some(RegionSpec::Space(space)),
-                _ => Some(RegionSpec::row(space, x)),
+                3 => Some(RegionSpec::row(space, x)),
+                // Windows over the second coordinate, possibly empty.
+                4 => Some(RegionSpec::Window {
+                    space,
+                    a: Some(x),
+                    b_lo: y,
+                    b_hi: z + 1,
+                    c: None,
+                }),
+                _ => Some(RegionSpec::Window {
+                    space,
+                    a: None,
+                    b_lo: y,
+                    b_hi: 3,
+                    c: Some(z),
+                }),
             },
         },
         _ => MemRequest::ChangePerm {
@@ -274,6 +289,16 @@ fn conflicting_pairs_are_never_classified_independent() {
         region: REGION,
         within: None,
     };
+    let scan_window = MemRequest::ReadRange {
+        region: REGION,
+        within: Some(RegionSpec::Window {
+            space: 1,
+            a: None,
+            b_lo: 0,
+            b_hi: 1,
+            c: Some(0),
+        }),
+    };
     let perm = MemRequest::ChangePerm {
         region: REGION,
         new: Permission::read_only(),
@@ -282,6 +307,7 @@ fn conflicting_pairs_are_never_classified_independent() {
         (&write, &write2),
         (&write, &read),
         (&write, &scan_all),
+        (&write, &scan_window),
         (&perm, &read),
         (&perm, &write),
         (&perm, &scan_all),
@@ -302,4 +328,33 @@ fn conflicting_pairs_are_never_classified_independent() {
         ..as_event(3, 12, &write)
     };
     assert!(independent(&as_event(1, 10, &write), &at_other_memory));
+}
+
+/// A window range read against the real memory: a write just past either
+/// end of the window commutes with it and is classified independent; a
+/// write inside it is observable and classified as a conflict.
+#[test]
+fn window_range_read_commutes_exactly_with_writes_outside_it() {
+    let scan = MemRequest::ReadRange {
+        region: REGION,
+        within: Some(RegionSpec::Window {
+            space: 1,
+            a: Some(0),
+            b_lo: 1,
+            b_hi: 2,
+            c: None,
+        }),
+    };
+    let write_at = |b: u64| MemRequest::Write {
+        region: REGION,
+        reg: RegId::new(1, 0, b, 0),
+        value: RegVal::LbFlag(Value(b)),
+    };
+    for (b, inside) in [(0, false), (1, true), (2, false)] {
+        let w = write_at(b);
+        let commute = run_pair(&scan, &w, false) == run_pair(&scan, &w, true);
+        let ind = independent(&as_event(1, 10, &scan), &as_event(2, 11, &w));
+        assert_eq!(commute, !inside, "b = {b}: swap observable iff inside");
+        assert_eq!(ind, !inside, "b = {b}: classified independent iff outside");
+    }
 }

@@ -3,12 +3,15 @@
 //! broadcaster, memory crashes, and randomized schedules (proptest).
 
 use agreement::adversary::NebEquivocator;
+use agreement::harness::ShardedScenario;
 use agreement::nebcast::{self, NebEngine};
 use agreement::paxos::Dest;
+use agreement::sharded::{self, GroupMode, RouterActor};
+use agreement::smr::{byz_memory_actor, ByzSmrNode};
 use agreement::trusted::{RbPayload, SetupEvidence, TWire};
 use agreement::types::{Msg, Pid, RegVal, Value};
 use proptest::prelude::*;
-use rdma_sim::{LegalChange, MemoryActor, MemoryClient};
+use rdma_sim::{LegalChange, MemResponse, MemWire, MemoryActor, MemoryClient};
 use sigsim::{SigAuthority, SigVerifier, Signer};
 use simnet::{Actor, ActorId, Context, DelayModel, Duration, EventKind, Simulation, Time};
 
@@ -276,4 +279,110 @@ proptest! {
             prop_assert_eq!(t.delivered.len(), 2, "process {} delivered {:?}", i, &t.delivered);
         }
     }
+}
+
+/// Forwards every event to a replica and records the largest range-read
+/// response it receives (the rows one memory returned for one read).
+struct RangeRows {
+    inner: ByzSmrNode,
+    responses: usize,
+    max_rows: usize,
+}
+
+impl Actor<Msg> for RangeRows {
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, ev: EventKind<Msg>) {
+        if let EventKind::Msg {
+            msg:
+                Msg::Mem(MemWire::Resp {
+                    resp: MemResponse::Range(rows),
+                    ..
+                }),
+            ..
+        } = &ev
+        {
+            self.responses += 1;
+            self.max_rows = self.max_rows.max(rows.len());
+        }
+        self.inner.on_event(ctx, ev);
+    }
+}
+
+/// Pipeline depth of the history-independence runs.
+const DEPTH: usize = 8;
+
+/// Router window (commands in flight) of the history-independence runs.
+const WINDOW: usize = 16;
+
+/// Runs one failure-free Byzantine group (n = m = 3, pipeline window
+/// [`DEPTH`], fast path on, batch 1) behind a closed-loop router until
+/// `cmds` commands commit, and returns the largest range-read response any
+/// replica received. With no leader change there is no takeover scan, so
+/// every range read is a broadcast row probe or column audit.
+fn largest_range_response(cmds: usize) -> usize {
+    let mut sc = ShardedScenario::common_case(1, 3, 3, 5);
+    sc.total_cmds = cmds;
+    sc.window = WINDOW;
+    let topo = sc.topology();
+    let (procs, mems) = (topo.procs(0), topo.mems(0));
+    let mut sim: Simulation<Msg> = Simulation::new(sc.seed);
+    let mut auth = SigAuthority::new(sc.seed ^ 0xB12A);
+    for &p in &procs {
+        let signer = auth.register(p);
+        let node = ByzSmrNode::new(
+            p,
+            procs.clone(),
+            mems.clone(),
+            topo.initial_leader(0),
+            Vec::new(),
+            signer,
+            auth.verifier(),
+            Duration::from_delays(1),
+        )
+        .with_pipeline_window(DEPTH)
+        .with_fast_path(true)
+        .with_session_dedup()
+        .with_observer(topo.router());
+        sim.add(RangeRows {
+            inner: node,
+            responses: 0,
+            max_rows: 0,
+        });
+    }
+    for _ in &mems {
+        sim.add(byz_memory_actor(&procs));
+    }
+    let workload = sharded::partition(&sc.workload, sc.seed, cmds, 1);
+    let router = RouterActor::new(topo, workload, WINDOW)
+        .with_group_modes(vec![GroupMode::Byzantine], sc.n)
+        .with_byz_fast_path();
+    assert_eq!(sim.add(router), topo.router());
+    sim.run_until(Time::from_delays(20 * cmds as u64 + 1_000), |s| {
+        s.actor_as::<RouterActor>(topo.router())
+            .expect("router")
+            .done()
+    });
+    let router = sim.actor_as::<RouterActor>(topo.router()).expect("router");
+    assert_eq!(router.committed_total(), cmds, "run did not finish");
+    let mut largest = 0;
+    for &p in &procs[1..] {
+        let r = sim.actor_as::<RangeRows>(p).expect("replica");
+        assert!(r.responses > 0, "follower {p} issued no range read");
+        largest = largest.max(r.max_rows);
+    }
+    largest
+}
+
+/// The pipelined broadcast's range reads cover the live window only: the
+/// largest row-probe or column-audit response is the same at 400 and at
+/// 4,000 commands, and stays within `n · (depth + slack)` rows. Reads of
+/// the whole row or columns would grow with the log.
+#[test]
+fn pipelined_range_reads_do_not_grow_with_history() {
+    let bound = 3 * (DEPTH + WINDOW);
+    let short = largest_range_response(400);
+    let long = largest_range_response(4_000);
+    eprintln!("largest range response: {short} rows at 400, {long} at 4,000");
+    assert!(short <= bound, "400 commands: {short} rows > {bound}");
+    assert!(long <= bound, "4,000 commands: {long} rows > {bound}");
+    assert_eq!(short, long, "largest range response grew with history");
 }
