@@ -22,6 +22,8 @@
 //!   trying to make followers decide differently. Unanimity (all `n`
 //!   matching copies + `n` proofs) must prevent any split decision.
 
+use std::sync::Arc;
+
 use rdma_sim::{MemWire, MemoryClient, OpId};
 use sigsim::Signer;
 use simnet::{Actor, ActorId, Context, EventKind};
@@ -84,7 +86,7 @@ impl NebEquivocator {
             history: Vec::new(),
         };
         let sig = self.signer.sign(&wire.sign_view(1));
-        RegVal::Neb(NebSlot { k: 1, wire, sig })
+        RegVal::Neb(Arc::new(NebSlot { k: 1, wire, sig }))
     }
 }
 
@@ -160,7 +162,7 @@ impl Actor<Msg> for BadHistoryActor {
                     history: Vec::<HistEntry>::new(),
                 };
                 let sig = self.signer.sign(&wire.sign_view(1));
-                let slot = RegVal::Neb(NebSlot { k: 1, wire, sig });
+                let slot = RegVal::Neb(Arc::new(NebSlot { k: 1, wire, sig }));
                 let reg = nebcast::slot_reg(self.me, 1, self.me);
                 let region = nebcast::row_region(self.me);
                 for mem in self.mems.clone() {
@@ -301,7 +303,7 @@ impl HistoryRewriter {
 
     fn broadcast(&mut self, ctx: &mut Context<'_, Msg>, k: u64, wire: TWire) {
         let sig = self.signer.sign(&wire.sign_view(k));
-        let slot = RegVal::Neb(NebSlot { k, wire, sig });
+        let slot = RegVal::Neb(Arc::new(NebSlot { k, wire, sig }));
         let reg = nebcast::slot_reg(self.me, k, self.me);
         let region = nebcast::row_region(self.me);
         for mem in self.mems.clone() {
@@ -432,7 +434,7 @@ impl LogEquivocator {
     fn log_slot(&self, v: Value) -> RegVal {
         let wire = crate::smr::byz::log_entries_wire(0, 0, vec![v]);
         let sig = self.signer.sign(&wire.sign_view(1));
-        RegVal::Neb(NebSlot { k: 1, wire, sig })
+        RegVal::Neb(Arc::new(NebSlot { k: 1, wire, sig }))
     }
 
     fn write_everywhere(&mut self, ctx: &mut Context<'_, Msg>, val: RegVal) {
@@ -565,11 +567,11 @@ impl Actor<Msg> for ReceiptForger {
                 // leader's key, so every signature check passes.
                 let wire = crate::smr::byz::log_entries_wire(0, 0, vec![self.forged]);
                 let sig = self.leader_signer.sign(&wire.sign_view(FORGED_K));
-                let slot = RegVal::Neb(NebSlot {
+                let slot = RegVal::Neb(Arc::new(NebSlot {
                     k: FORGED_K,
                     wire,
                     sig,
-                });
+                }));
                 let reg = nebcast::receipt_reg(self.me, FORGED_K, self.leader);
                 let region = nebcast::row_region(self.me);
                 for mem in self.mems.clone() {

@@ -62,6 +62,7 @@
 //! only grows, and receipts are never slots.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use rdma_sim::{MemoryClient, Permission, RegId, RegionId, RegionSpec};
 use sigsim::{SigVerifier, Signature, Signer};
@@ -134,19 +135,20 @@ pub struct NebSlot {
 pub struct Delivery {
     /// The broadcaster.
     pub from: Pid,
-    /// Its sequence number.
-    pub k: u64,
-    /// The content.
-    pub wire: TWire,
-    /// The broadcaster's signature (evidence for trusted histories).
-    pub sig: Signature,
+    /// The delivered slot: its sequence number, content and the
+    /// broadcaster's signature (evidence for trusted histories). Shared
+    /// with the registers it was read from; never mutated.
+    pub slot: Arc<NebSlot>,
 }
 
 enum Attempt {
     ReadSlot(RepId),
-    Copy { slot: NebSlot, rep: RepId },
-    Audit { slot: NebSlot, rep: RepId },
+    Copy { slot: Arc<NebSlot>, rep: RepId },
+    Audit { slot: Arc<NebSlot>, rep: RepId },
 }
+
+/// The copied slots one shared column audit covers, by sequence number.
+type Covered = Vec<(u64, Arc<NebSlot>)>;
 
 /// The non-equivocating broadcast state machine for one process.
 pub struct NebEngine {
@@ -194,12 +196,12 @@ pub struct NebEngine {
     /// focused sender, replacing per-slot probes.
     row_probe: BTreeMap<Pid, RepId>,
     /// Completed copies awaiting the next shared column audit.
-    await_audit: BTreeMap<(Pid, u64), NebSlot>,
+    await_audit: BTreeMap<(Pid, u64), Arc<NebSlot>>,
     /// At most one in-flight shared column audit per sender: the read id
     /// and the slots it covers (each covered slot's copy completed before
     /// the read was issued, preserving Algorithm 2's copy-then-audit
     /// order).
-    col_audit: BTreeMap<Pid, (RepId, Vec<(u64, NebSlot)>)>,
+    col_audit: BTreeMap<Pid, (RepId, Covered)>,
     /// Idle-row backoff (pipelined mode only): earliest poll tick at
     /// which a sender's row may be probed again, and the current backoff.
     idle_until: BTreeMap<Pid, u64>,
@@ -308,12 +310,8 @@ impl NebEngine {
             ctx,
             client,
             row_region(self.me),
-            receipt_reg(self.me, d.k, d.from),
-            RegVal::Neb(NebSlot {
-                k: d.k,
-                wire: d.wire.clone(),
-                sig: d.sig,
-            }),
+            receipt_reg(self.me, d.slot.k, d.from),
+            RegVal::Neb(d.slot.clone()),
         );
     }
 
@@ -332,13 +330,12 @@ impl NebEngine {
         let k = self.next_k;
         self.next_k += 1;
         let sig = self.signer.sign(&wire.sign_view(k));
-        let slot = NebSlot { k, wire, sig };
         let rep = self.rep.write(
             ctx,
             client,
             row_region(self.me),
             slot_reg(self.me, k, self.me),
-            RegVal::Neb(slot),
+            RegVal::Neb(Arc::new(NebSlot { k, wire, sig })),
         );
         if self.observe_writes {
             self.bcast_writes.insert(rep, k);
@@ -486,7 +483,7 @@ impl NebEngine {
         if keys.is_empty() {
             return;
         }
-        let covered: Vec<(u64, NebSlot)> = keys
+        let covered: Covered = keys
             .into_iter()
             .map(|k| (k, self.await_audit.remove(&(q, k)).expect("listed above")))
             .collect();
@@ -665,15 +662,7 @@ impl NebEngine {
                 }
                 // Audited out-of-order slots wait in the ready buffer;
                 // deliveries are released strictly in sequence order.
-                self.ready.insert(
-                    (q, k),
-                    Delivery {
-                        from: q,
-                        k,
-                        wire: slot.wire,
-                        sig: slot.sig,
-                    },
-                );
+                self.ready.insert((q, k), Delivery { from: q, slot });
                 let released = self.release_ready(q);
                 // Per-slot completion chaining: a released head frees
                 // window room — probe q's next slots now instead of
@@ -695,7 +684,7 @@ impl NebEngine {
         ctx: &mut Context<'_, Msg>,
         client: &mut MemoryClient<RegVal, Msg>,
         q: Pid,
-        covered: Vec<(u64, NebSlot)>,
+        covered: Covered,
         result: RepResult<RegVal>,
     ) {
         let RepResult::RangeOk(all) = result else {
@@ -727,15 +716,7 @@ impl NebEngine {
                     return;
                 }
             }
-            self.ready.insert(
-                (q, k),
-                Delivery {
-                    from: q,
-                    k,
-                    wire: slot.wire,
-                    sig: slot.sig,
-                },
-            );
+            self.ready.insert((q, k), Delivery { from: q, slot });
         }
         self.release_ready(q);
         // The audit read covered q's live columns, including q's own

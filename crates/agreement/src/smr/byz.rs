@@ -87,6 +87,7 @@
 //! ([`ByzSmrNode::receipts_rejected`]).
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use rdma_sim::{LegalChange, MemoryActor, MemoryClient};
 use sigsim::{SigVerifier, Signer};
@@ -417,7 +418,7 @@ impl ByzSmrNode {
     fn on_delivery(&mut self, ctx: &mut Context<'_, Msg>, d: nebcast::Delivery) {
         let RbPayload::LogEntries {
             first, ref values, ..
-        } = d.wire.payload
+        } = d.slot.wire.payload
         else {
             return; // single-decree traffic from another protocol: not ours
         };
@@ -442,7 +443,7 @@ impl ByzSmrNode {
             if let Some(slot) = self
                 .pipeline
                 .iter_mut()
-                .find(|s| s.k == d.k && !s.delivered)
+                .find(|s| s.k == d.slot.k && !s.delivered)
             {
                 slot.delivered = true;
                 self.retire_ready();
@@ -510,7 +511,7 @@ impl ByzSmrNode {
             if d.from == self.current_leader {
                 let RbPayload::LogEntries {
                     first, ref values, ..
-                } = d.wire.payload
+                } = d.slot.wire.payload
                 else {
                     continue;
                 };
@@ -610,7 +611,7 @@ impl ByzSmrNode {
         // claimed broadcaster's self-slot holds. This blocks a follower
         // forging receipts with a colluding leader's double-signature:
         // the signature verifies, but no matching self-slot exists.
-        let mut self_slots: BTreeMap<(u32, u64), nebcast::NebSlot> = BTreeMap::new();
+        let mut self_slots: BTreeMap<(u32, u64), Arc<nebcast::NebSlot>> = BTreeMap::new();
         for (reg, val) in &rows {
             let RegVal::Neb(slot) = val else { continue };
             if reg.b & RECEIPT_BIT != 0 || reg.a != reg.c {
@@ -863,7 +864,7 @@ mod tests {
     ) -> RegVal {
         let wire = log_entries_wire(first, epoch, values);
         let sig = signer.sign(&wire.sign_view(k));
-        RegVal::Neb(nebcast::NebSlot { k, wire, sig })
+        RegVal::Neb(Arc::new(nebcast::NebSlot { k, wire, sig }))
     }
 
     /// The takeover-scan adoption rule, pinned directly: among

@@ -13,8 +13,7 @@
 //!
 //! [`GroupMode`]: crate::sharded::GroupMode
 
-use std::collections::HashSet;
-
+use rdma_sim::FxHashSet;
 use simnet::Time;
 
 use crate::types::Value;
@@ -37,8 +36,13 @@ pub struct LogCore {
     /// duplicates a retrying client (the sharded router) creates by
     /// re-submitting in-flight commands on failover.
     pub dedup: bool,
-    /// Ids observed decided (populated only when `dedup` is on).
-    pub seen_cmds: HashSet<u64>,
+    /// Ids observed decided (populated only when `dedup` is on). One
+    /// insert per decided entry at every replica, so it uses the cheap
+    /// multiplicative [`rdma_sim::FxHasher`] rather than SipHash. That
+    /// hasher is not DoS-resistant, which is acceptable here: command ids
+    /// are protocol-chosen, and colliding ids from a Byzantine writer can
+    /// only slow a simulation, never break safety.
+    pub seen_cmds: FxHashSet<u64>,
     /// Workload slots consumed by the in-flight round (proposed + skipped).
     pub own_consumed: usize,
     /// Duplicates skipped by the in-flight round.
@@ -64,7 +68,7 @@ impl LogCore {
             workload,
             next_cmd: 0,
             dedup: false,
-            seen_cmds: HashSet::new(),
+            seen_cmds: FxHashSet::default(),
             own_consumed: 0,
             own_suppressed: 0,
             duplicates_suppressed: 0,

@@ -2,6 +2,7 @@
 //! ballots, register layouts and the unified simulation message type.
 
 use std::fmt;
+use std::sync::Arc;
 
 use rdma_sim::{MemEmbed, MemWire};
 use sigsim::Signature;
@@ -186,10 +187,21 @@ pub struct UnanimityProof {
 /// A register holds whatever its writer put there; readers pattern-match and
 /// treat unexpected variants the way they treat garbage from a Byzantine
 /// writer (ignore / nak-equivalent).
+///
+/// The broadcast slot is shared behind an [`Arc`]: inline it would be the
+/// widest variant by far, and every register, memory message and kernel
+/// event would pay for it, while crash-mode logs only ever store `Slot`s.
+/// Sharing also makes the m-way write fan-out and each range-read row a
+/// refcount bump instead of a deep copy of the wire and its history. A
+/// shared slot is never mutated in place (nothing calls `Arc::get_mut` or
+/// `Arc::make_mut` on one), so a value a memory handed out stays an
+/// immutable snapshot after the register is overwritten, as §3's trusted
+/// memories require. The modelled register width is pinned separately
+/// ([`Msg`]'s [`MemEmbed::VALUE_WIRE_BYTES`]).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum RegVal {
-    /// A non-equivocating broadcast slot (signed `(k, body)`).
-    Neb(crate::nebcast::NebSlot),
+    /// A non-equivocating broadcast slot (signed `(k, body)`), shared.
+    Neb(Arc<crate::nebcast::NebSlot>),
     /// A Cheap Quorum Value register.
     CqValue(CqSigned),
     /// A Cheap Quorum Panic register.
@@ -261,6 +273,12 @@ pub enum Msg {
 }
 
 impl MemEmbed<RegVal> for Msg {
+    /// The slot width of a register file able to hold any variant: the
+    /// inline size of `RegVal` with its broadcast slot stored inline.
+    /// Fixed, so the shared-slot representation moves no modelled byte
+    /// (and no virtual time).
+    const VALUE_WIRE_BYTES: u32 = 144;
+
     fn from_wire(wire: MemWire<RegVal>) -> Self {
         Msg::Mem(wire)
     }
@@ -296,6 +314,39 @@ mod tests {
         let s2 = PaxSlot::phase2(b, Value(9));
         assert_eq!(s2.acc_prop, Some(b));
         assert_eq!(s2.value, Some(Value(9)));
+    }
+
+    /// Every kernel event carries a `Msg` and every register a `RegVal`,
+    /// so a new inline variant wider than these would silently inflate
+    /// both; box or share it instead.
+    #[test]
+    fn register_and_message_layout_stay_lean() {
+        use std::mem::size_of;
+        assert!(
+            size_of::<RegVal>() <= 64,
+            "RegVal is {} bytes",
+            size_of::<RegVal>()
+        );
+        assert!(size_of::<Msg>() <= 112, "Msg is {} bytes", size_of::<Msg>());
+    }
+
+    /// The Rdma cost model charges a fixed register width, not the
+    /// in-memory size of `RegVal`: a 176-byte entry (32-byte `RegId`
+    /// plus a 144-byte register), whatever the representation.
+    #[test]
+    fn modelled_register_width_is_pinned() {
+        use rdma_sim::{MemRequest, MemResponse, RegId, RegionId};
+        const ENTRY: u32 = 176;
+        let width = <Msg as MemEmbed<RegVal>>::VALUE_WIRE_BYTES;
+        let slot = RegVal::Slot(PaxSlot::phase1(Ballot::initial(ActorId(0))));
+        let many = MemRequest::WriteMany {
+            region: RegionId(0),
+            writes: vec![(RegId::scalar(spaces::PMP), slot.clone()); 32],
+        };
+        let class = many.cost_class(width);
+        assert_eq!((class.bytes, class.wrs), (32 * ENTRY, 32));
+        let range = MemResponse::Range(vec![(RegId::scalar(spaces::PMP), slot); 4]);
+        assert_eq!(range.cost_class(width).bytes, 4 * ENTRY);
     }
 
     #[test]

@@ -116,7 +116,7 @@ where
             }
         } else {
             self.busy.push((mem, op));
-            let class = req.cost_class();
+            let class = req.cost_class(M::VALUE_WIRE_BYTES);
             ctx.send_classed(mem, M::from_wire(MemWire::Req { op, req }), class);
         }
         op
@@ -204,7 +204,7 @@ where
         if let Some((_, queue)) = self.queues.iter_mut().find(|(m, _)| *m == from) {
             if let Some((next_op, req)) = queue.pop_front() {
                 self.busy.push((from, next_op));
-                let class = req.cost_class();
+                let class = req.cost_class(M::VALUE_WIRE_BYTES);
                 ctx.send_classed(from, M::from_wire(MemWire::Req { op: next_op, req }), class);
             }
         }

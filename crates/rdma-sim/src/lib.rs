@@ -30,6 +30,7 @@
 #![forbid(unsafe_code)]
 
 mod client;
+mod hash;
 mod memory;
 mod perm;
 mod reg;
@@ -37,6 +38,7 @@ mod region;
 mod wire;
 
 pub use client::{Completion, MemoryClient};
+pub use hash::{FxHashSet, FxHasher};
 pub use memory::MemoryActor;
 pub use perm::{LegalChange, LegalChangeFn, PermSet, Permission};
 pub use reg::RegId;

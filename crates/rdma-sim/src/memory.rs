@@ -9,12 +9,13 @@
 //!
 //! [`Simulation::crash_at`]: simnet::Simulation::crash_at
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::marker::PhantomData;
 
 use simnet::{Actor, ActorId, Context, EventKind};
 
+use crate::hash::FxHashMap;
 use crate::perm::{LegalChange, Permission};
 use crate::reg::RegId;
 use crate::region::{RegionId, RegionSpec};
@@ -26,11 +27,14 @@ use crate::wire::{MemEmbed, MemRequest, MemResponse, MemWire};
 /// message type embedding [`MemWire<V>`].
 pub struct MemoryActor<V, M> {
     regions: BTreeMap<RegionId, (RegionSpec, Permission)>,
-    /// Hash-indexed register store: writes are the per-log-entry hot path,
-    /// so O(1) insert beats ordered storage. Range reads (rare: takeover
-    /// scans) sort their rows, preserving the deterministic RegId-ordered
-    /// responses an ordered map used to give.
-    registers: HashMap<RegId, V>,
+    /// The register store. Writes are the per-log-entry hot path (one
+    /// insert per entry of every `WriteMany`, at each of the m memories),
+    /// so it is a hash map: O(1) insert beats ordered storage. Keys are
+    /// hashed with [`FxHasher`](crate::FxHasher), a few multiplies per
+    /// `RegId` instead of SipHash; the keys are protocol-chosen, so
+    /// flooding resistance buys nothing. Range reads sort their rows, so
+    /// responses stay in `RegId` order whatever the hash order.
+    registers: FxHashMap<RegId, V>,
     /// Scratch buffer for assembling range-read rows (the swmr
     /// scratch-pool pattern): the matching register ids are collected and
     /// sorted here, whose capacity persists across scans; each value is
@@ -60,7 +64,7 @@ where
     pub fn new(legal: LegalChange) -> MemoryActor<V, M> {
         MemoryActor {
             regions: BTreeMap::new(),
-            registers: HashMap::new(),
+            registers: FxHashMap::default(),
             row_scratch: Vec::new(),
             legal,
             _msg: PhantomData,
@@ -169,7 +173,7 @@ where
             return;
         };
         let resp = self.handle(from, req);
-        let class = resp.cost_class();
+        let class = resp.cost_class(M::VALUE_WIRE_BYTES);
         ctx.send_classed(from, M::from_wire(MemWire::Resp { op, resp }), class);
     }
 }

@@ -100,10 +100,12 @@ impl<V> MemRequest<V> {
     /// [`simnet::DelayModel::Rdma`]: reads map to the READ verb, writes to
     /// WRITE (a [`MemRequest::WriteMany`] of `k` entries is one doorbell
     /// batch of `k` work requests), and permission changes to the atomic
-    /// CAS verb. Payload bytes are approximated from the in-memory sizes
-    /// of the register ids and values carried.
-    pub fn cost_class(&self) -> CostClass {
-        let entry = entry_bytes::<V>();
+    /// CAS verb. Each register entry moves a [`RegId`] plus
+    /// `value_bytes`, the register width the embedding declares
+    /// ([`MemEmbed::VALUE_WIRE_BYTES`]) — a fixed slot width, not the
+    /// in-memory size of whatever value the entry happens to hold.
+    pub fn cost_class(&self, value_bytes: u32) -> CostClass {
+        let entry = entry_bytes(value_bytes);
         match self {
             MemRequest::Read { .. } => CostClass::new(Verb::Read, entry, 1),
             MemRequest::Write { .. } => CostClass::new(Verb::Write, entry, 1),
@@ -121,9 +123,10 @@ impl<V> MemRequest<V> {
     }
 }
 
-/// Approximate serialized size of one `(register, value)` entry.
-fn entry_bytes<V>() -> u32 {
-    (std::mem::size_of::<RegId>() + std::mem::size_of::<V>()) as u32
+/// Modelled size of one `(register, value)` entry: the register id plus
+/// a register of `value_bytes`.
+fn entry_bytes(value_bytes: u32) -> u32 {
+    std::mem::size_of::<RegId>() as u32 + value_bytes
 }
 
 /// A memory operation response.
@@ -151,11 +154,13 @@ impl<V> MemResponse<V> {
     }
 
     /// Cost classification of the response leg: a completion travelling
-    /// back as an inline send, sized by the payload it returns (one value
-    /// for [`MemResponse::Value`], the whole written slice for
-    /// [`MemResponse::Range`], nothing for acks/naks).
-    pub fn cost_class(&self) -> CostClass {
-        let entry = entry_bytes::<V>();
+    /// back as an inline send, sized by the payload it returns (one entry
+    /// for [`MemResponse::Value`], one per row for [`MemResponse::Range`],
+    /// nothing for acks/naks). As for requests, an entry is a [`RegId`]
+    /// plus the fixed register width `value_bytes`
+    /// ([`MemEmbed::VALUE_WIRE_BYTES`]), not an in-memory size.
+    pub fn cost_class(&self, value_bytes: u32) -> CostClass {
+        let entry = entry_bytes(value_bytes);
         match self {
             MemResponse::Value(Some(_)) => CostClass::new(Verb::Send, entry, 1),
             MemResponse::Range(rows) => {
@@ -187,11 +192,11 @@ pub enum MemWire<V> {
 
 impl<V> MemWire<V> {
     /// Cost classification of this leg (request or response) under
-    /// [`simnet::DelayModel::Rdma`].
-    pub fn cost_class(&self) -> CostClass {
+    /// [`simnet::DelayModel::Rdma`], for registers `value_bytes` wide.
+    pub fn cost_class(&self, value_bytes: u32) -> CostClass {
         match self {
-            MemWire::Req { req, .. } => req.cost_class(),
-            MemWire::Resp { resp, .. } => resp.cost_class(),
+            MemWire::Req { req, .. } => req.cost_class(value_bytes),
+            MemWire::Resp { resp, .. } => resp.cost_class(value_bytes),
         }
     }
 }
@@ -204,6 +209,15 @@ impl<V> MemWire<V> {
 ///
 /// [`MemoryActor`]: crate::MemoryActor
 pub trait MemEmbed<V>: Sized + Clone + fmt::Debug + 'static {
+    /// Width in bytes of one register's value on the wire, as the
+    /// [`simnet::DelayModel::Rdma`] cost model charges it. A register file
+    /// has one slot width, whatever each register currently holds; the
+    /// default is the inline size of `V`. An embedding whose `V` keeps a
+    /// large variant behind a pointer pins the width of the inline layout
+    /// here, so the modelled bytes do not follow the in-memory
+    /// representation.
+    const VALUE_WIRE_BYTES: u32 = std::mem::size_of::<V>() as u32;
+
     /// Wraps a wire message.
     fn from_wire(wire: MemWire<V>) -> Self;
     /// Unwraps a wire message, or returns the original if this message is
@@ -241,32 +255,36 @@ mod tests {
 
     #[test]
     fn cost_classes_tag_verbs_and_batch_width() {
+        // The register width is the caller's, not the value type's size.
+        const WIDTH: u32 = 40;
         let w: MemRequest<u64> = MemRequest::Write {
             region: RegionId(0),
             reg: RegId::scalar(0),
             value: 9,
         };
-        assert_eq!(w.cost_class().verb, Verb::Write);
-        assert_eq!(w.cost_class().wrs, 1);
+        assert_eq!(w.cost_class(WIDTH).verb, Verb::Write);
+        assert_eq!(w.cost_class(WIDTH).wrs, 1);
+        let entry = std::mem::size_of::<RegId>() as u32 + WIDTH;
+        assert_eq!(w.cost_class(WIDTH).bytes, entry);
 
         let many: MemRequest<u64> = MemRequest::WriteMany {
             region: RegionId(0),
             writes: (0..5u64).map(|i| (RegId::scalar(i as u16), i)).collect(),
         };
-        let c = many.cost_class();
+        let c = many.cost_class(WIDTH);
         assert_eq!(c.verb, Verb::Write);
         assert_eq!(c.wrs, 5);
-        assert_eq!(c.bytes, 5 * w.cost_class().bytes);
+        assert_eq!(c.bytes, 5 * entry);
 
         let perm: MemRequest<u64> = MemRequest::ChangePerm {
             region: RegionId(0),
             new: Permission::open(),
         };
-        assert_eq!(perm.cost_class().verb, Verb::Cas);
+        assert_eq!(perm.cost_class(WIDTH).verb, Verb::Cas);
 
         let range: MemResponse<u64> = MemResponse::Range(vec![(RegId::scalar(0), 1); 4]);
-        assert_eq!(range.cost_class().verb, Verb::Send);
-        assert_eq!(range.cost_class().bytes, 4 * w.cost_class().bytes);
-        assert_eq!(MemResponse::<u64>::Ack.cost_class(), CostClass::SEND);
+        assert_eq!(range.cost_class(WIDTH).verb, Verb::Send);
+        assert_eq!(range.cost_class(WIDTH).bytes, 4 * entry);
+        assert_eq!(MemResponse::<u64>::Ack.cost_class(WIDTH), CostClass::SEND);
     }
 }

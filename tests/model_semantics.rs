@@ -3,9 +3,13 @@
 //! permission naks, region confinement, `legalChange` policies, overlap,
 //! and the Byzantine-cannot-bypass-permissions invariant.
 
+use std::sync::Arc;
+
 use agreement::cheap_quorum;
 use agreement::nebcast;
+use agreement::paxos::Dest;
 use agreement::protected;
+use agreement::trusted::{RbPayload, TWire};
 use agreement::types::{sigtags, CqSigned, Msg, PaxSlot, Pid, RegVal, Value};
 use rdma_sim::{
     MemRequest, MemResponse, MemWire, MemoryActor, MemoryClient, OpId, Permission, RegId,
@@ -288,4 +292,113 @@ fn wire_embedding_round_trip() {
     };
     let msg = Msg::from_wire(wire);
     assert!(msg.into_wire().is_ok());
+}
+
+/// A signed broadcast slot `(k, LogEntries[first..])` from `signer`.
+fn neb_slot(signer: &sigsim::Signer, k: u64, first: u64, values: Vec<Value>) -> RegVal {
+    let wire = TWire {
+        dest: Dest::All,
+        payload: RbPayload::LogEntries {
+            first,
+            epoch: 0,
+            values,
+        },
+        history: Vec::new(),
+    };
+    let sig = signer.sign(&wire.sign_view(k));
+    RegVal::Neb(Arc::new(nebcast::NebSlot { k, wire, sig }))
+}
+
+/// §3's trusted memory hands out immutable snapshots. Broadcast slots are
+/// shared rather than copied, so this pins that sharing never leaks a
+/// later write into an earlier answer: a read and a range read taken
+/// before the register is overwritten keep the old slot, the ones after
+/// see the new one.
+#[test]
+fn shared_broadcast_slots_are_immutable_snapshots() {
+    let me = ActorId(1);
+    let mut auth = SigAuthority::new(1);
+    let signer = auth.register(me);
+    let old = neb_slot(&signer, 1, 0, vec![Value(10), Value(11)]);
+    let new = neb_slot(&signer, 1, 2, vec![Value(20)]);
+    assert_ne!(old, new);
+    let mut mem = MemoryActor::new(rdma_sim::LegalChange::Static);
+    nebcast::configure_memory(&mut mem, &[me]);
+    let reg = nebcast::slot_reg(me, 1, me);
+    let write = |value: &RegVal| MemRequest::Write {
+        region: nebcast::row_region(me),
+        reg,
+        value: value.clone(),
+    };
+    let read = || MemRequest::Read {
+        region: nebcast::ALL_REGION,
+        reg,
+    };
+    let range = || MemRequest::ReadRange {
+        region: nebcast::ALL_REGION,
+        within: None,
+    };
+    let out = run_probe(
+        mem,
+        vec![write(&old), read(), range(), write(&new), read(), range()],
+    );
+    assert_eq!(out[0], MemResponse::Ack);
+    assert_eq!(out[3], MemResponse::Ack);
+    for (before, after) in [(1, 4), (2, 5)] {
+        let held = |resp: &MemResponse<RegVal>| match resp {
+            MemResponse::Value(Some(v)) => v.clone(),
+            MemResponse::Range(rows) if rows.len() == 1 && rows[0].0 == reg => rows[0].1.clone(),
+            other => panic!("expected the slot, got {other:?}"),
+        };
+        assert_eq!(
+            held(&out[before]),
+            old,
+            "answer {before} changed under a later write"
+        );
+        assert_eq!(
+            held(&out[after]),
+            new,
+            "answer {after} missed the overwrite"
+        );
+        // The memory shared the written slot instead of copying it.
+        let (RegVal::Neb(a), RegVal::Neb(b)) = (held(&out[before]), &old) else {
+            panic!("expected broadcast slots")
+        };
+        assert!(Arc::ptr_eq(&a, b));
+    }
+}
+
+/// The snapshot guarantee above holds for every code path only if no code
+/// mutates a shared value in place: nothing may take `&mut` into an `Arc`.
+#[test]
+fn no_code_mutates_shared_register_values() {
+    // Built at run time so this file does not match its own needles.
+    let needles = ["get_mut", "make_mut", "get_mut_unchecked"].map(|f| format!("Arc::{f}"));
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut stack: Vec<_> = ["crates", "tests", "examples"].map(|d| root.join(d)).into();
+    let mut scanned = 0;
+    while let Some(dir) = stack.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                if !path.ends_with("target") {
+                    stack.push(path);
+                }
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let src = std::fs::read_to_string(&path).unwrap();
+                let code = src.lines().filter(|l| !l.trim_start().starts_with("//"));
+                for line in code {
+                    for needle in &needles {
+                        assert!(
+                            !line.contains(needle.as_str()),
+                            "{}: {line}",
+                            path.display()
+                        );
+                    }
+                }
+                scanned += 1;
+            }
+        }
+    }
+    assert!(scanned > 50, "scanned only {scanned} files");
 }

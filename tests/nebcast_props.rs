@@ -43,8 +43,8 @@ impl NebTester {
 
     fn drain(&mut self) {
         for d in self.engine.take_deliveries() {
-            if let RbPayload::Setup { value, .. } = d.wire.payload {
-                self.delivered.push((d.from, d.k, value));
+            if let RbPayload::Setup { value, .. } = d.slot.wire.payload {
+                self.delivered.push((d.from, d.slot.k, value));
             }
         }
     }
