@@ -2,13 +2,15 @@
 //! scripted failure scenario, and report the paper's metrics.
 //!
 //! Every benchmark, example and integration test goes through this module,
-//! so experiment definitions stay in one place (DESIGN.md's per-experiment
-//! index points here).
+//! so experiment definitions stay in one place; `tests::headline_delay_numbers`
+//! below asserts the paper's headline delay table (experiment E2).
 
 use std::collections::BTreeMap;
 
 use sigsim::SigAuthority;
-use simnet::{ActorId, DelayModel, Duration, Metrics, ParSimulation, Simulation, Time};
+use simnet::{
+    ActorId, ActorView, AnyActor, DelayModel, Duration, Metrics, ParSimulation, Simulation, Time,
+};
 
 use crate::adversary::LogEquivocator;
 use crate::aligned::{self, AlignedPaxosActor, MemoryMode};
@@ -830,18 +832,7 @@ pub fn run_sharded(scenario: &ShardedScenario) -> ShardedRunReport {
 pub fn run_sharded_with_events(
     scenario: &ShardedScenario,
 ) -> (ShardedRunReport, Vec<simnet::obs::Event>) {
-    let topo = scenario.topology();
-    let workload = validated_workload(scenario);
-    let (mut report, events) = if scenario.partitions > 1 {
-        run_sharded_partitioned(scenario, &topo, workload)
-    } else {
-        run_sharded_monolithic(scenario, &topo, workload, None::<fn(&mut Simulation<Msg>)>)
-    };
-    if scenario.record_spans {
-        report.span_stats =
-            crate::spans::aggregate_spans(&events, scenario.groups, scenario.total_cmds);
-    }
-    (report, events)
+    execute_sharded(scenario, None::<fn(&mut Simulation<Msg>)>)
 }
 
 /// [`run_sharded_with_events`] on the monolithic kernel, with pre-run
@@ -857,9 +848,68 @@ pub fn run_sharded_instrumented(
         scenario.partitions <= 1,
         "instrumented runs use the monolithic kernel (partitions must be 1)"
     );
+    execute_sharded(scenario, Some(setup))
+}
+
+/// Builds, runs and reduces one sharded run on the kernel the scenario
+/// asks for. `partitions > 1` runs the partitioned parallel kernel:
+/// groups in contiguous partition blocks, router on partition 0,
+/// conservative-window execution on [`ShardedScenario::threads`] worker
+/// threads (same seed + partition count ⇒ bit-identical reports for any
+/// thread count). Otherwise the monolithic kernel runs, and `setup`, when
+/// present, sees it fully built — scripted crashes and announcements
+/// included — before the first dispatch.
+fn execute_sharded(
+    scenario: &ShardedScenario,
+    setup: Option<impl FnOnce(&mut Simulation<Msg>)>,
+) -> (ShardedRunReport, Vec<simnet::obs::Event>) {
     let topo = scenario.topology();
     let workload = validated_workload(scenario);
-    let (mut report, events) = run_sharded_monolithic(scenario, &topo, workload, Some(setup));
+    let deadline = Time::from_delays(scenario.max_delays);
+    let router = topo.router();
+    fn router_done(view: &impl ActorView, router: ActorId) -> bool {
+        view.actor_as::<RouterActor>(router)
+            .is_some_and(RouterActor::done)
+    }
+    let (mut report, events) = if scenario.partitions > 1 {
+        let lookahead = scenario.delay.min_delay();
+        assert!(
+            lookahead > Duration::ZERO,
+            "partitioned execution needs links with a positive minimum delay"
+        );
+        let parts = scenario.partitions.clamp(1, scenario.groups.max(1));
+        let mut sim: ParSimulation<Msg> = ParSimulation::new(scenario.seed, parts, lookahead);
+        sim.set_threads(scenario.threads);
+        sim.set_default_delay(scenario.delay.clone());
+        if scenario.obs_enabled() {
+            sim.enable_obs();
+        }
+        deploy_sharded(&mut sim, scenario, &topo, workload, |g| {
+            topo.partition_of_group(g, parts)
+        });
+        sim.run_until(deadline, |view| router_done(view, router));
+        let (elapsed, metrics) = (sim.now(), sim.merged_metrics());
+        let peaks = sim.partition_peak_queue_lens();
+        let events = sim.take_obs_events();
+        let report =
+            sim.with_actors(|view| reduce_sharded(scenario, &topo, view, elapsed, &metrics, peaks));
+        (report, events)
+    } else {
+        let mut sim: Simulation<Msg> = Simulation::new(scenario.seed);
+        sim.set_default_delay(scenario.delay.clone());
+        if scenario.obs_enabled() {
+            sim.enable_obs();
+        }
+        deploy_sharded(&mut sim, scenario, &topo, workload, |_| 0);
+        if let Some(setup) = setup {
+            setup(&mut sim);
+        }
+        sim.run_until(deadline, |s| router_done(s, router));
+        let events = sim.take_obs_events();
+        let peaks = vec![sim.metrics().peak_queue_len];
+        let report = reduce_sharded(scenario, &topo, &sim, sim.now(), sim.metrics(), peaks);
+        (report, events)
+    };
     if scenario.record_spans {
         report.span_stats =
             crate::spans::aggregate_spans(&events, scenario.groups, scenario.total_cmds);
@@ -936,38 +986,25 @@ fn build_router(
             "paced arrivals need a closed-loop window (router-mediated submission)"
         );
     }
-    let interval_ticks = (simnet::TICKS_PER_DELAY as f64
-        / scenario.arrival_rate_per_delay.max(f64::MIN_POSITIVE))
-    .round()
-    .max(1.0) as u64;
-    if !scenario.dynamic_routing() {
-        let mut router = RouterActor::new(*topo, workload, scenario.window);
-        if scenario.has_byzantine() {
-            router = router.with_group_modes(scenario.group_modes.clone(), scenario.n);
-            if scenario.byz_fast_path {
-                router = router.with_byz_fast_path();
-            }
-        }
-        if paced {
-            router = router.with_paced_arrivals(interval_ticks);
-        }
-        return router;
-    }
-    assert!(
-        scenario.window > 0,
-        "rebalancing needs a closed-loop window (router-mediated submission)"
-    );
-    let table = RoutingTable::even(scenario.workload.key_space(), scenario.groups);
-    let keys = workload.keys.clone();
-    let policy = scenario
-        .rebalance
-        .map(|cfg| RebalancePolicy::new(cfg, scenario.groups));
-    let mut router = RouterActor::new(*topo, workload, scenario.window).with_rebalance(
-        table,
-        keys,
-        policy,
-        scenario.migrations.clone(),
-    );
+    let mut router = if scenario.dynamic_routing() {
+        assert!(
+            scenario.window > 0,
+            "rebalancing needs a closed-loop window (router-mediated submission)"
+        );
+        let table = RoutingTable::even(scenario.workload.key_space(), scenario.groups);
+        let keys = workload.keys.clone();
+        let policy = scenario
+            .rebalance
+            .map(|cfg| RebalancePolicy::new(cfg, scenario.groups));
+        RouterActor::new(*topo, workload, scenario.window).with_rebalance(
+            table,
+            keys,
+            policy,
+            scenario.migrations.clone(),
+        )
+    } else {
+        RouterActor::new(*topo, workload, scenario.window)
+    };
     if scenario.has_byzantine() {
         router = router.with_group_modes(scenario.group_modes.clone(), scenario.n);
         if scenario.byz_fast_path {
@@ -975,6 +1012,9 @@ fn build_router(
         }
     }
     if paced {
+        let interval_ticks = (simnet::TICKS_PER_DELAY as f64 / scenario.arrival_rate_per_delay)
+            .round()
+            .max(1.0) as u64;
         router = router.with_paced_arrivals(interval_ticks);
     }
     router
@@ -1010,19 +1050,9 @@ fn byz_auth(scenario: &ShardedScenario, topo: &GroupTopology) -> Option<ByzAuth>
     Some(ByzAuth { auth, signers })
 }
 
-/// One replica slot of a sharded deployment, ready to add to either
-/// kernel: the group's protocol node, or an injected adversary.
-enum ReplicaBuild {
-    Crash(Box<SmrNode>),
-    Byz(Box<ByzSmrNode>),
-    Silent,
-    Equivocator(Box<LogEquivocator>),
-    Forger(Box<crate::adversary::ReceiptForger>),
-}
-
-/// Builds one replica of group `g` for a sharded run (both kernel
-/// paths): the scenario's adversary placements first, then the group's
-/// [`GroupMode`] protocol node.
+/// Builds one replica of group `g` for a sharded run: the scenario's
+/// adversary placements first, then the group's [`GroupMode`] protocol
+/// node.
 fn sharded_replica(
     scenario: &ShardedScenario,
     topo: &GroupTopology,
@@ -1030,26 +1060,26 @@ fn sharded_replica(
     backlog: &[Value],
     g: usize,
     i: usize,
-) -> ReplicaBuild {
+) -> Box<dyn AnyActor<Msg> + Send> {
     let procs = topo.procs(g);
     let mems = topo.mems(g);
     let leader = topo.initial_leader(g);
     if scenario.byz_silent.contains(&(g, i)) {
-        return ReplicaBuild::Silent;
+        return Box::new(crate::adversary::SilentActor);
     }
     if scenario.byz_receipt_forgers.contains(&(g, i)) {
         let byz = byz.expect("receipt forger outside a Byzantine deployment");
         // Forged value: junk id above any client command id, distinct
         // from the equivocator band so a leaked forgery is attributable.
         let junk = 1u64 << 41 | (g as u64) << 8;
-        return ReplicaBuild::Forger(Box::new(crate::adversary::ReceiptForger::new(
+        return Box::new(crate::adversary::ReceiptForger::new(
             procs[i],
             mems,
             Value(junk | 1),
             Duration::from_delays(3),
             byz.signers[&leader].clone(),
             leader,
-        )));
+        ));
     }
     if scenario.byz_equivocators.contains(&(g, i)) {
         let byz = byz.expect("equivocator outside a Byzantine deployment");
@@ -1057,7 +1087,7 @@ fn sharded_replica(
         // control-entry bit): visibly not a client command, so a group
         // that settles one corrupts nobody's accounting.
         let junk = 1u64 << 40 | (g as u64) << 8;
-        return ReplicaBuild::Equivocator(Box::new(LogEquivocator::new(
+        return Box::new(LogEquivocator::new(
             procs[i],
             mems,
             topo.router(),
@@ -1065,7 +1095,7 @@ fn sharded_replica(
             Value(junk | 2),
             Duration::from_delays(4),
             byz.signers[&procs[i]].clone(),
-        )));
+        ));
     }
     // Open loop preloads the whole backlog into the initial leader;
     // closed loop starts everyone empty and the router submits.
@@ -1094,7 +1124,7 @@ fn sharded_replica(
             if !scenario.disable_session_dedup {
                 node = node.with_session_dedup();
             }
-            ReplicaBuild::Crash(Box::new(node))
+            Box::new(node)
         }
         GroupMode::Byzantine => {
             let byz = byz.expect("Byzantine group without an authority");
@@ -1115,7 +1145,7 @@ fn sharded_replica(
             if !scenario.disable_session_dedup {
                 node = node.with_session_dedup();
             }
-            ReplicaBuild::Byz(Box::new(node))
+            Box::new(node)
         }
     }
 }
@@ -1134,263 +1164,114 @@ fn sharded_memory(
     }
 }
 
-/// Collects every replica's post-run state for the report reduction:
-/// per-group replica logs plus the total dedup-suppression and
-/// equivocation-block counts. One implementation for both kernel paths —
-/// `node` resolves a `(replica id, group mode)` on whichever view
-/// (monolithic `Simulation` or partitioned `ParActors`) the run finished
-/// on, so a new report field only needs wiring once. Adversary-occupied
-/// slots report an empty log and zero counters.
-fn collect_replica_state(
+/// What the sharded builder needs from a kernel: actor placement, and
+/// the scripted crashes and Ω announcements.
+trait Deploy {
+    /// Adds `actor` on kernel partition `part` (the monolithic kernel has
+    /// only partition 0).
+    fn place(&mut self, part: usize, actor: Box<dyn AnyActor<Msg> + Send>) -> ActorId;
+    fn crash_at(&mut self, actor: ActorId, at: Time);
+    fn announce_leader(&mut self, at: Time, targets: &[ActorId], leader: ActorId);
+}
+
+impl Deploy for Simulation<Msg> {
+    fn place(&mut self, _part: usize, actor: Box<dyn AnyActor<Msg> + Send>) -> ActorId {
+        self.add_boxed(actor)
+    }
+    fn crash_at(&mut self, actor: ActorId, at: Time) {
+        Simulation::crash_at(self, actor, at);
+    }
+    fn announce_leader(&mut self, at: Time, targets: &[ActorId], leader: ActorId) {
+        Simulation::announce_leader(self, at, targets, leader);
+    }
+}
+
+impl Deploy for ParSimulation<Msg> {
+    fn place(&mut self, part: usize, actor: Box<dyn AnyActor<Msg> + Send>) -> ActorId {
+        self.add_boxed_to(part, actor)
+    }
+    fn crash_at(&mut self, actor: ActorId, at: Time) {
+        ParSimulation::crash_at(self, actor, at);
+    }
+    fn announce_leader(&mut self, at: Time, targets: &[ActorId], leader: ActorId) {
+        ParSimulation::announce_leader(self, at, targets, leader);
+    }
+}
+
+/// Builds a sharded deployment on either kernel (actor ids per
+/// [`ShardedScenario::topology`]): each group's replicas and memories on
+/// partition `part_of(group)`, the router last on partition 0, then the
+/// scripted leader crashes and Ω announcements.
+fn deploy_sharded(
+    kernel: &mut impl Deploy,
     scenario: &ShardedScenario,
     topo: &GroupTopology,
-    node: impl Fn(Pid, GroupMode) -> (Vec<Value>, u64, u64, u64, u64),
-) -> (Vec<Vec<Vec<Value>>>, u64, u64, u64, u64) {
-    let mut duplicates_suppressed = 0u64;
-    let mut equivocations_blocked = 0u64;
-    let mut receipts_rejected = 0u64;
-    let mut fast_commits = 0u64;
-    let logs = (0..scenario.groups)
-        .map(|g| {
-            topo.procs(g)
-                .iter()
-                .map(|&p| {
-                    let (log, dups, equivs, forged, fast) = node(p, scenario.mode_of(g));
-                    duplicates_suppressed += dups;
-                    equivocations_blocked += equivs;
-                    receipts_rejected += forged;
-                    fast_commits += fast;
-                    log
-                })
-                .collect()
+    workload: sharded::PartitionedWorkload,
+    part_of: impl Fn(usize) -> usize,
+) {
+    let byz = byz_auth(scenario, topo);
+    for g in 0..scenario.groups {
+        let part = part_of(g);
+        for i in 0..scenario.n {
+            let replica =
+                sharded_replica(scenario, topo, byz.as_ref(), &workload.backlogs[g], g, i);
+            let id = kernel.place(part, replica);
+            debug_assert_eq!(id, topo.procs(g)[i]);
+        }
+        for &mem in &topo.mems(g) {
+            let id = kernel.place(part, Box::new(sharded_memory(scenario, topo, g)));
+            debug_assert_eq!(id, mem);
+        }
+    }
+    let router_id = kernel.place(0, Box::new(build_router(scenario, topo, workload)));
+    assert_eq!(router_id, topo.router(), "router must be the last actor");
+    for &(g, t) in &scenario.crash_leaders {
+        kernel.crash_at(topo.initial_leader(g), Time::from_delays(t));
+    }
+    for &(g, i, t) in &scenario.announce {
+        let mut targets = topo.procs(g);
+        targets.push(topo.router());
+        kernel.announce_leader(Time::from_delays(t), &targets, topo.procs(g)[i]);
+    }
+}
+
+/// One replica's post-run state: its log, then its dedup-suppression,
+/// equivocation-block, rejected-receipt and fast-commit counts.
+/// Adversary slots read as an empty log and zero counters.
+fn replica_state(view: &impl ActorView, p: Pid) -> (Vec<Value>, u64, u64, u64, u64) {
+    if let Some(n) = view.actor_as::<SmrNode>(p) {
+        return (n.log(), n.duplicates_suppressed(), 0, 0, 0);
+    }
+    view.actor_as::<ByzSmrNode>(p)
+        .map_or_else(Default::default, |n| {
+            (
+                n.log(),
+                n.duplicates_suppressed(),
+                n.equivocations_blocked(),
+                n.receipts_rejected(),
+                n.fast_commits(),
+            )
         })
-        .collect();
-    (
-        logs,
-        duplicates_suppressed,
-        equivocations_blocked,
-        receipts_rejected,
-        fast_commits,
-    )
 }
 
-/// Resolves one replica's post-run state by downcasting to its mode's
-/// node type on any actor view. Adversary slots (and crashed actors the
-/// view no longer exposes) read as empty.
-fn replica_state_of(
-    log_dups: Option<(Vec<Value>, u64, u64, u64, u64)>,
-) -> (Vec<Value>, u64, u64, u64, u64) {
-    log_dups.unwrap_or((Vec::new(), 0, 0, 0, 0))
-}
-
-/// The classic single-kernel path (`partitions == 1`). `setup`, when
-/// present, runs on the fully-built kernel after the scripted crashes and
-/// announcements but before the first dispatch (see
-/// [`run_sharded_instrumented`]).
-fn run_sharded_monolithic(
-    scenario: &ShardedScenario,
-    topo: &GroupTopology,
-    workload: sharded::PartitionedWorkload,
-    setup: Option<impl FnOnce(&mut Simulation<Msg>)>,
-) -> (ShardedRunReport, Vec<simnet::obs::Event>) {
-    let mut sim: Simulation<Msg> = Simulation::new(scenario.seed);
-    sim.set_default_delay(scenario.delay.clone());
-    if scenario.obs_enabled() {
-        sim.enable_obs();
-    }
-    let byz = byz_auth(scenario, topo);
-    for g in 0..scenario.groups {
-        for i in 0..scenario.n {
-            let expect = topo.procs(g)[i];
-            let id =
-                match sharded_replica(scenario, topo, byz.as_ref(), &workload.backlogs[g], g, i) {
-                    ReplicaBuild::Crash(node) => sim.add(*node),
-                    ReplicaBuild::Byz(node) => sim.add(*node),
-                    ReplicaBuild::Silent => sim.add(crate::adversary::SilentActor),
-                    ReplicaBuild::Equivocator(adv) => sim.add(*adv),
-                    ReplicaBuild::Forger(adv) => sim.add(*adv),
-                };
-            debug_assert_eq!(id, expect);
-        }
-        for &mem in &topo.mems(g) {
-            let id = sim.add(sharded_memory(scenario, topo, g));
-            debug_assert_eq!(id, mem);
-        }
-    }
-    let router_id = sim.add(build_router(scenario, topo, workload));
-    assert_eq!(router_id, topo.router(), "router must be the last actor");
-
-    for &(g, t) in &scenario.crash_leaders {
-        sim.crash_at(topo.initial_leader(g), Time::from_delays(t));
-    }
-    for &(g, i, t) in &scenario.announce {
-        let mut targets = topo.procs(g);
-        targets.push(topo.router());
-        sim.announce_leader(Time::from_delays(t), &targets, topo.procs(g)[i]);
-    }
-    if let Some(setup) = setup {
-        setup(&mut sim);
-    }
-
-    let deadline = Time::from_delays(scenario.max_delays);
-    sim.run_until(deadline, |s| {
-        s.actor_as::<RouterActor>(router_id)
-            .is_some_and(RouterActor::done)
-    });
-
-    let events = sim.take_obs_events();
-    let (logs, duplicates_suppressed, equivocations_blocked, receipts_rejected, fast_commits) =
-        collect_replica_state(scenario, topo, |p, mode| {
-            replica_state_of(match mode {
-                GroupMode::CrashPmp => sim
-                    .actor_as::<SmrNode>(p)
-                    .map(|n| (n.log(), n.duplicates_suppressed(), 0, 0, 0)),
-                GroupMode::Byzantine => sim.actor_as::<ByzSmrNode>(p).map(|n| {
-                    (
-                        n.log(),
-                        n.duplicates_suppressed(),
-                        n.equivocations_blocked(),
-                        n.receipts_rejected(),
-                        n.fast_commits(),
-                    )
-                }),
-            })
-        });
-    let router = sim
-        .actor_as::<RouterActor>(router_id)
-        .expect("router exists");
-    let peak = sim.metrics().peak_queue_len;
-    let report = reduce_sharded(
-        scenario,
-        router,
-        &logs,
-        duplicates_suppressed,
-        equivocations_blocked,
-        receipts_rejected,
-        fast_commits,
-        sim.now(),
-        sim.metrics(),
-        vec![peak],
-    );
-    (report, events)
-}
-
-/// The partitioned parallel path (`partitions > 1`): groups in contiguous
-/// partition blocks, router on partition 0, conservative-window execution
-/// on [`ShardedScenario::threads`] worker threads. Same seed + partition
-/// count ⇒ bit-identical reports for any thread count.
-fn run_sharded_partitioned(
-    scenario: &ShardedScenario,
-    topo: &GroupTopology,
-    workload: sharded::PartitionedWorkload,
-) -> (ShardedRunReport, Vec<simnet::obs::Event>) {
-    let lookahead = scenario.delay.min_delay();
-    assert!(
-        lookahead > Duration::ZERO,
-        "partitioned execution needs links with a positive minimum delay"
-    );
-    let parts = scenario.partitions.clamp(1, scenario.groups.max(1));
-    let mut sim: ParSimulation<Msg> = ParSimulation::new(scenario.seed, parts, lookahead);
-    sim.set_threads(scenario.threads);
-    sim.set_default_delay(scenario.delay.clone());
-    if scenario.obs_enabled() {
-        sim.enable_obs();
-    }
-    let byz = byz_auth(scenario, topo);
-    for g in 0..scenario.groups {
-        let part = topo.partition_of_group(g, parts);
-        for i in 0..scenario.n {
-            let expect = topo.procs(g)[i];
-            let id =
-                match sharded_replica(scenario, topo, byz.as_ref(), &workload.backlogs[g], g, i) {
-                    ReplicaBuild::Crash(node) => sim.add_to(part, *node),
-                    ReplicaBuild::Byz(node) => sim.add_to(part, *node),
-                    ReplicaBuild::Silent => sim.add_to(part, crate::adversary::SilentActor),
-                    ReplicaBuild::Equivocator(adv) => sim.add_to(part, *adv),
-                    ReplicaBuild::Forger(adv) => sim.add_to(part, *adv),
-                };
-            debug_assert_eq!(id, expect);
-        }
-        for &mem in &topo.mems(g) {
-            let id = sim.add_to(part, sharded_memory(scenario, topo, g));
-            debug_assert_eq!(id, mem);
-        }
-    }
-    let router_id = sim.add_to(0, build_router(scenario, topo, workload));
-    assert_eq!(router_id, topo.router(), "router must be the last actor");
-
-    for &(g, t) in &scenario.crash_leaders {
-        sim.crash_at(topo.initial_leader(g), Time::from_delays(t));
-    }
-    for &(g, i, t) in &scenario.announce {
-        let mut targets = topo.procs(g);
-        targets.push(topo.router());
-        sim.announce_leader(Time::from_delays(t), &targets, topo.procs(g)[i]);
-    }
-
-    let deadline = Time::from_delays(scenario.max_delays);
-    sim.run_until(deadline, |view| {
-        view.actor_as::<RouterActor>(router_id)
-            .is_some_and(RouterActor::done)
-    });
-
-    let elapsed = sim.now();
-    let metrics = sim.merged_metrics();
-    let partition_peaks = sim.partition_peak_queue_lens();
-    let events = sim.take_obs_events();
-    let report = sim.with_actors(|view| {
-        let (logs, duplicates_suppressed, equivocations_blocked, receipts_rejected, fast_commits) =
-            collect_replica_state(scenario, topo, |p, mode| {
-                replica_state_of(match mode {
-                    GroupMode::CrashPmp => view
-                        .actor_as::<SmrNode>(p)
-                        .map(|n| (n.log(), n.duplicates_suppressed(), 0, 0, 0)),
-                    GroupMode::Byzantine => view.actor_as::<ByzSmrNode>(p).map(|n| {
-                        (
-                            n.log(),
-                            n.duplicates_suppressed(),
-                            n.equivocations_blocked(),
-                            n.receipts_rejected(),
-                            n.fast_commits(),
-                        )
-                    }),
-                })
-            });
-        let router = view
-            .actor_as::<RouterActor>(router_id)
-            .expect("router exists");
-        reduce_sharded(
-            scenario,
-            router,
-            &logs,
-            duplicates_suppressed,
-            equivocations_blocked,
-            receipts_rejected,
-            fast_commits,
-            elapsed,
-            &metrics,
-            partition_peaks,
-        )
-    });
-    (report, events)
-}
-
-/// Reduces one sharded run's raw outcome (per-replica logs + the router's
-/// observations + merged kernel metrics) to a [`ShardedRunReport`]; shared
-/// by the monolithic and partitioned kernel paths.
-#[allow(clippy::too_many_arguments)]
+/// Reduces one finished sharded run — every replica's state and the
+/// router's observations, read through either kernel's actor view, plus
+/// the kernel's (merged) metrics — to a [`ShardedRunReport`].
 fn reduce_sharded(
     scenario: &ShardedScenario,
-    router: &RouterActor,
-    replica_logs: &[Vec<Vec<Value>>],
-    duplicates_suppressed: u64,
-    equivocations_blocked: u64,
-    byz_receipts_rejected: u64,
-    byz_fast_commits: u64,
+    topo: &GroupTopology,
+    view: &impl ActorView,
     elapsed: Time,
     metrics: &Metrics,
     partition_peak_queue_lens: Vec<u64>,
 ) -> ShardedRunReport {
+    let router = view
+        .actor_as::<RouterActor>(topo.router())
+        .expect("router exists");
+    let mut duplicates_suppressed = 0u64;
+    let mut equivocations_blocked = 0u64;
+    let mut byz_receipts_rejected = 0u64;
+    let mut byz_fast_commits = 0u64;
     // The router's *final* assignment: migrated ids point at their
     // destination group, everything else at its workload partition. A
     // migrated id may legitimately sit in its old source log too — if it
@@ -1403,7 +1284,19 @@ fn reduce_sharded(
     let mut groups = Vec::with_capacity(scenario.groups);
     let mut assignment_mismatches = 0u64;
     let mut all_latencies: Vec<Vec<u64>> = Vec::with_capacity(scenario.groups);
-    for (g, logs) in replica_logs.iter().enumerate() {
+    for g in 0..scenario.groups {
+        let logs: Vec<Vec<Value>> = topo
+            .procs(g)
+            .iter()
+            .map(|&p| {
+                let (log, dups, equivs, forged, fast) = replica_state(view, p);
+                duplicates_suppressed += dups;
+                equivocations_blocked += equivs;
+                byz_receipts_rejected += forged;
+                byz_fast_commits += fast;
+                log
+            })
+            .collect();
         let longest = logs
             .iter()
             .max_by_key(|l| l.len())

@@ -652,7 +652,7 @@ impl NebEngine {
                             .valid(q, &other.wire.sign_view(other.k), &other.sig)
                     {
                         // q signed two different messages for k: equivocation.
-                        ctx.note_with(|| format!("nebcast: {q} equivocated at k={k}"));
+                        ctx.obs_note_with(|| format!("nebcast: {q} equivocated at k={k}"));
                         self.blocked.insert(q, k);
                         // Abandon the rest of q's window: nothing from an
                         // equivocator is ever delivered (no-ops at depth 1).
@@ -710,7 +710,7 @@ impl NebEngine {
                         .verifier
                         .valid(q, &other.wire.sign_view(other.k), &other.sig)
                 {
-                    ctx.note_with(|| format!("nebcast: {q} equivocated at k={k}"));
+                    ctx.obs_note_with(|| format!("nebcast: {q} equivocated at k={k}"));
                     self.blocked.insert(q, k);
                     self.purge(q);
                     return;

@@ -1,9 +1,10 @@
 //! Shared helpers for the benchmark harnesses.
 //!
-//! Each bench target regenerates one of the paper's tables/figures (see
-//! DESIGN.md §4, experiments E1–E10): it *prints* the paper-style table
-//! (virtual-time delay metrics, resilience outcomes, signature counts) and
-//! registers Criterion wall-clock measurements for the simulation runs.
+//! Each bench target regenerates one of the paper's tables/figures
+//! (experiments E1–E10; ARCHITECTURE.md tours the layers they run on): it
+//! *prints* the paper-style table (virtual-time delay metrics, resilience
+//! outcomes, signature counts) and registers Criterion wall-clock
+//! measurements for the simulation runs.
 
 /// Prints a section header in the bench output.
 pub fn section(title: &str) {

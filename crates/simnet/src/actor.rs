@@ -9,6 +9,7 @@
 use std::any::Any;
 
 use crate::event::EventKind;
+use crate::ids::ActorId;
 use crate::sim::Context;
 
 /// A deterministic event-driven state machine living inside a simulation.
@@ -37,4 +38,14 @@ impl<M, T: Actor<M> + Any> AnyActor<M> for T {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
+}
+
+/// Read access to a kernel's actors by id: implemented by
+/// [`Simulation`](crate::Simulation) and by the partitioned kernel's
+/// [`ParActors`](crate::ParActors) view, so state extraction written
+/// against it works on either kernel.
+pub trait ActorView {
+    /// Downcasts actor `id` to its concrete type for inspection; `None`
+    /// if no such actor exists or it has another type.
+    fn actor_as<T: 'static>(&self, id: ActorId) -> Option<&T>;
 }

@@ -50,8 +50,9 @@
 //!   `BENCH_PR1.json`'s `kernel_queue_stress`).
 //! * **Allocation rules.** Steady-state dispatch performs no heap
 //!   allocation: link delays are sampled by reference (no per-send model
-//!   clone), kernel trace lines are `&'static str` and actor notes are
-//!   lazy ([`Context::note_with`]) so disabled tracing costs nothing,
+//!   clone), structured recording ([`obs`]) builds every event body
+//!   behind one enabled-branch and actor notes are lazy
+//!   ([`Context::obs_note_with`]), so disabled recording costs nothing,
 //!   timers use generation-stamped slots (O(1) arm/cancel/fire, bounded
 //!   memory — the old cancelled-timer tombstone set grew forever), the
 //!   per-dispatch pending buffer is recycled, and crash flags live in a
@@ -76,7 +77,10 @@
 //! delay) of virtual time, then exchange staged cross-partition messages
 //! at a barrier in a fixed merge order. Results are bit-identical for any
 //! worker-thread count; see the [`partition`](ParSimulation) module docs
-//! for the protocol and the determinism argument.
+//! for the protocol and the determinism argument. Both kernels run the
+//! same event-dispatch body; they differ only in where an event an actor
+//! emits goes — back onto the one queue, or (when its target lives on
+//! another partition) into an outbox for the barrier merge.
 //!
 //! ## Example
 //!
@@ -110,9 +114,8 @@ mod partition;
 mod queue;
 mod sim;
 mod time;
-mod trace;
 
-pub use actor::{Actor, AnyActor};
+pub use actor::{Actor, ActorView, AnyActor};
 pub use delay::{CostClass, DelayModel, RdmaCost, Verb};
 pub use event::EventKind;
 pub use ids::{ActorId, TimerId};
@@ -120,4 +123,3 @@ pub use metrics::Metrics;
 pub use partition::{ParActors, ParSimulation, Partitioning};
 pub use sim::{Choice, ChoiceHook, ChoicePayload, Context, DelayHook, RunOutcome, Simulation};
 pub use time::{Duration, Time, TICKS_PER_DELAY};
-pub use trace::{Trace, TraceEntry};

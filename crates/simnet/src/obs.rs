@@ -1,8 +1,8 @@
 //! Structured observability: typed trace events, sinks, and exporters.
 //!
-//! The string [`Trace`](crate::Trace) is a debugging aid for humans; this
-//! module is the machine-readable counterpart the analysis tooling builds
-//! on. When recording is enabled the kernel emits one typed [`Event`] per
+//! This is the kernel's one recording plane: debugging timelines and the
+//! analysis tooling both read it. When recording is enabled the kernel
+//! emits one typed [`Event`] per
 //! interesting occurrence — dispatches, sends, deliveries, timers,
 //! crashes, memory operations, leader changes, plus actor-authored notes
 //! and span marks — each stamped with virtual time, the executing actor,

@@ -13,8 +13,10 @@
 //! Actors are placed onto `P` partitions (the [`Partitioning`] map). Each
 //! partition is a complete sub-kernel: its own bucketed calendar queue, its
 //! own scheduling-sequence counter, its own generation-stamped timer table,
-//! its own metrics and trace, and its own RNG stream (split from the run
-//! seed by partition index). The run alternates two phases:
+//! its own metrics and obs recorder, and its own RNG stream (split from the
+//! run seed by partition index). Each partition dispatches through the
+//! same event-dispatch body as [`Simulation`]; the one difference is where
+//! an emitted event goes. The run alternates two phases:
 //!
 //! 1. **Window execution.** Let `T` be the minimum next-event time across
 //!    all partitions and `L` the *lookahead* — a lower bound on every
@@ -82,14 +84,14 @@ use std::sync::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::actor::{Actor, AnyActor};
+use crate::actor::{Actor, ActorView, AnyActor};
 use crate::delay::DelayModel;
 use crate::event::EventKind;
 use crate::ids::ActorId;
 use crate::metrics::Metrics;
-use crate::obs::{self, EventBody};
-use crate::queue::{Payload, Scheduled, WheelQueue};
-use crate::sim::{Context, Core, RunOutcome};
+use crate::obs;
+use crate::queue::{Payload, WheelQueue};
+use crate::sim::{Core, RunOutcome};
 use crate::time::{Duration, Time};
 
 /// An event staged for another partition: `(arrival time, target, event)`.
@@ -152,24 +154,19 @@ impl Partitioning {
     }
 }
 
-/// One partition's complete sub-kernel: queue, sequence counter, timers,
-/// RNG stream, metrics, trace, actors, and per-destination outboxes.
+/// One partition's complete sub-kernel: queue, dispatch core (clock,
+/// timers, RNG stream, metrics, obs recorder), actors, and
+/// per-destination outboxes.
 struct SubKernel<M> {
     part: u32,
     core: Core<M>,
     queue: WheelQueue<M>,
-    seq: u64,
-    now: Time,
     /// Actor storage, indexed by *global* actor id; `Some` only for actors
     /// placed on this partition.
     actors: Vec<Option<Box<dyn AnyActor<M> + Send>>>,
-    /// Crash flags for this partition's actors, global-id indexed.
-    crashed: Vec<bool>,
     /// Events staged for other partitions during the current window, in
     /// emission order, one queue per destination partition.
     outbox: Vec<Vec<StagedEvent<M>>>,
-    /// Recycled pending-drain buffer (as in the monolithic kernel).
-    pending_scratch: Vec<StagedEvent<M>>,
 }
 
 impl<M: 'static> SubKernel<M> {
@@ -182,165 +179,36 @@ impl<M: 'static> SubKernel<M> {
             part,
             core,
             queue: WheelQueue::new(),
-            seq: 0,
-            now: Time::ZERO,
             actors: Vec::new(),
-            crashed: Vec::new(),
             outbox: (0..parts).map(|_| Vec::new()).collect(),
-            pending_scratch: Vec::new(),
         }
     }
 
-    fn push(&mut self, at: Time, to: ActorId, payload: Payload<M>) {
-        self.seq += 1;
-        self.queue.push(Scheduled {
-            at,
-            seq: self.seq,
-            to,
-            payload,
-        });
-    }
-
-    fn is_crashed(&self, a: ActorId) -> bool {
-        self.crashed.get(a.index()).copied().unwrap_or(false)
-    }
-
-    fn mark_crashed(&mut self, a: ActorId) {
-        if self.crashed.len() <= a.index() {
-            self.crashed.resize(a.index() + 1, false);
-        }
-        self.crashed[a.index()] = true;
-    }
-
-    /// Dispatches every queued event with time `< window_end`, staging
-    /// cross-partition sends into the outboxes. The heart of a window's
-    /// parallel phase; mirrors `Simulation::step`'s optimized path.
+    /// Dispatches every queued event with time `< window_end` through the
+    /// shared dispatch body ([`Core::dispatch`]): sends to co-located
+    /// actors re-enter the local queue, remote sends are staged for the
+    /// barrier merge.
     fn step_window(&mut self, window_end: Time, placement: &[u32], lookahead: Duration) {
-        loop {
-            match self.queue.next_time() {
-                Some(t) if t < window_end => {}
-                _ => return,
-            }
+        while self.queue.next_time().is_some_and(|t| t < window_end) {
             let depth = self.queue.len() as u64;
-            if depth > self.core.metrics.peak_queue_len {
-                self.core.metrics.peak_queue_len = depth;
-            }
             let sched = self.queue.pop().expect("peeked non-empty");
-            debug_assert!(sched.at >= self.now, "partition queue went backwards");
-            self.now = sched.at;
-            self.core.metrics.events_dispatched += 1;
-            self.core.metrics.sample_queue_depth(self.now, depth);
-            match sched.payload {
-                Payload::Crash => {
-                    self.mark_crashed(sched.to);
-                    self.core.metrics.dispatches.crash += 1;
-                    let (now, to) = (self.now, sched.to);
-                    self.core.trace.push(now, to, "CRASH");
-                    self.core.obs.record(now, to, || EventBody::Crash);
-                }
-                Payload::Deliver(ev) => {
-                    if self.is_crashed(sched.to) {
-                        self.core.metrics.dispatches.dropped += 1;
-                        let (now, to) = (self.now, sched.to);
-                        let kind = ev.kind_name();
-                        self.core
-                            .trace
-                            .push_with(now, to, || format!("dropped {kind} (crashed)"));
-                        self.core
-                            .obs
-                            .record(now, to, || EventBody::Dropped { kind });
-                        if let EventKind::Timer { id, .. } = ev {
-                            self.core.retire_timer(id);
-                        }
-                        continue;
+            let (now, from, part) = (sched.at, sched.to, self.part as usize);
+            let (queue, outbox) = (&mut self.queue, &mut self.outbox);
+            self.core
+                .dispatch(sched, depth, &mut self.actors, |at, to, ev| {
+                    let dest = placement[to.index()] as usize;
+                    if dest == part {
+                        queue.schedule(at, to, Payload::Deliver(ev));
+                    } else {
+                        assert!(
+                            at >= now + lookahead,
+                            "cross-partition send {from} -> {to} at {at:?} beats the \
+                             lookahead {lookahead:?}: the partitioning is unsound for \
+                             this delay model",
+                        );
+                        outbox[dest].push((at, to, ev));
                     }
-                    match &ev {
-                        EventKind::Start => self.core.metrics.dispatches.start += 1,
-                        EventKind::Msg { .. } => self.core.metrics.dispatches.msg += 1,
-                        EventKind::Timer { .. } => self.core.metrics.dispatches.timer += 1,
-                        EventKind::LeaderChange { .. } => self.core.metrics.dispatches.leader += 1,
-                    }
-                    if let EventKind::Timer { id, .. } = ev {
-                        if !self.core.retire_timer(id) {
-                            continue; // cancelled
-                        }
-                        self.core.metrics.timers_fired += 1;
-                    }
-                    if let EventKind::Msg { .. } = ev {
-                        self.core.metrics.messages_delivered += 1;
-                    }
-                    if self.core.trace.is_enabled() {
-                        let line: &'static str = match &ev {
-                            EventKind::Start => "deliver start",
-                            EventKind::Msg { .. } => "deliver msg",
-                            EventKind::Timer { .. } => "deliver timer",
-                            EventKind::LeaderChange { .. } => "deliver leader",
-                        };
-                        let (now, to) = (self.now, sched.to);
-                        self.core.trace.push(now, to, line);
-                    }
-                    if self.core.obs.is_enabled() {
-                        let (now, to) = (self.now, sched.to);
-                        match &ev {
-                            EventKind::Start => self
-                                .core
-                                .obs
-                                .record(now, to, || EventBody::Dispatch { kind: "start" }),
-                            EventKind::Msg { from, .. } => {
-                                let from = *from;
-                                self.core
-                                    .obs
-                                    .record(now, to, || EventBody::Deliver { from });
-                            }
-                            EventKind::Timer { tag, .. } => {
-                                let tag = *tag;
-                                self.core
-                                    .obs
-                                    .record(now, to, || EventBody::TimerFired { tag });
-                            }
-                            EventKind::LeaderChange { leader } => {
-                                let leader = *leader;
-                                self.core
-                                    .obs
-                                    .record(now, to, || EventBody::LeaderChange { leader });
-                            }
-                        }
-                    }
-                    let mut actor = self.actors[sched.to.index()]
-                        .take()
-                        .expect("actor dispatched on wrong partition or re-entrantly");
-                    {
-                        let mut ctx = Context::new(sched.to, self.now, &mut self.core);
-                        actor.on_event(&mut ctx, ev);
-                    }
-                    self.actors[sched.to.index()] = Some(actor);
-                    // Drain effects: local sends re-enter the queue, remote
-                    // sends are staged for the barrier merge.
-                    let mut batch = std::mem::replace(
-                        &mut self.core.pending,
-                        std::mem::take(&mut self.pending_scratch),
-                    );
-                    for (at, to, ev) in batch.drain(..) {
-                        let dest = placement[to.index()] as usize;
-                        if dest == self.part as usize {
-                            self.push(at, to, Payload::Deliver(ev));
-                        } else {
-                            assert!(
-                                at >= self.now + lookahead,
-                                "cross-partition send {} -> {} at {:?} beats the \
-                                 lookahead {:?}: the partitioning is unsound for \
-                                 this delay model",
-                                sched.to,
-                                to,
-                                at,
-                                lookahead,
-                            );
-                            self.outbox[dest].push((at, to, ev));
-                        }
-                    }
-                    self.pending_scratch = batch;
-                }
-            }
+                });
         }
     }
 }
@@ -352,9 +220,8 @@ pub struct ParActors<'a, M> {
     of: &'a [u32],
 }
 
-impl<M: 'static> ParActors<'_, M> {
-    /// Downcasts actor `id` to its concrete type for inspection.
-    pub fn actor_as<T: 'static>(&self, id: ActorId) -> Option<&T> {
+impl<M: 'static> ActorView for ParActors<'_, M> {
+    fn actor_as<T: 'static>(&self, id: ActorId) -> Option<&T> {
         let part = *self.of.get(id.index())? as usize;
         self.guards[part]
             .actors
@@ -504,14 +371,22 @@ impl<M: Send + 'static> ParSimulation<M> {
     /// global-length actor table (`None` for actors it does not own) so
     /// dispatch indexes by global id with no translation.
     pub fn add_to<T: Actor<M> + Send>(&mut self, partition: usize, actor: T) -> ActorId {
+        self.add_boxed_to(partition, Box::new(actor))
+    }
+
+    /// Registers a boxed actor on `partition` (see [`ParSimulation::add_to`]).
+    pub fn add_boxed_to(
+        &mut self,
+        partition: usize,
+        actor: Box<dyn AnyActor<M> + Send>,
+    ) -> ActorId {
         assert!(!self.started, "cannot add actors after the run started");
         let id = self.plan.place(partition);
-        let mut boxed: Option<Box<dyn AnyActor<M> + Send>> = Some(Box::new(actor));
+        let mut boxed = Some(actor);
         for (p, kernel) in self.parts.iter_mut().enumerate() {
             let k = kernel.get_mut().expect("unpoisoned");
             k.actors
                 .push(if p == partition { boxed.take() } else { None });
-            k.crashed.push(false);
         }
         id
     }
@@ -550,7 +425,8 @@ impl<M: Send + 'static> ParSimulation<M> {
         self.parts[p]
             .get_mut()
             .expect("unpoisoned")
-            .push(at, to, Payload::Deliver(ev));
+            .queue
+            .schedule(at, to, Payload::Deliver(ev));
     }
 
     /// Schedules `actor` to crash at `at`: from that instant it receives
@@ -562,7 +438,8 @@ impl<M: Send + 'static> ParSimulation<M> {
         self.parts[p]
             .get_mut()
             .expect("unpoisoned")
-            .push(at, actor, Payload::Crash);
+            .queue
+            .schedule(at, actor, Payload::Crash);
     }
 
     /// Announces `leader` to every actor in `targets` at time `at`,
@@ -641,6 +518,7 @@ impl<M: Send + 'static> ParSimulation<M> {
         self.parts[p]
             .get_mut()
             .expect("unpoisoned")
+            .core
             .is_crashed(actor)
     }
 
@@ -652,7 +530,7 @@ impl<M: Send + 'static> ParSimulation<M> {
         for i in 0..self.plan.len() {
             let to = ActorId(i as u32);
             let p = self.plan.partition_of(to);
-            self.parts[p].get_mut().expect("unpoisoned").push(
+            self.parts[p].get_mut().expect("unpoisoned").queue.schedule(
                 Time::ZERO,
                 to,
                 Payload::Deliver(EventKind::Start),
@@ -792,12 +670,12 @@ impl<M: Send + 'static> ParSimulation<M> {
         for (dest, kernel) in parts.iter().enumerate() {
             let mut k = kernel.lock().expect("unpoisoned");
             for (at, to, ev) in inbound[dest].drain(..) {
-                k.push(at, to, Payload::Deliver(ev));
+                k.queue.schedule(at, to, Payload::Deliver(ev));
             }
             if let Some(t) = k.queue.next_time() {
                 next = Some(next.map_or(t, |n: Time| n.min(t)));
             }
-            *reached = (*reached).max(k.now);
+            *reached = (*reached).max(k.core.now);
         }
         // Stop checks, in the same order as `Simulation::run_until`:
         // predicate first, then quiescence, then the time budget.
@@ -839,6 +717,7 @@ impl<M: Send + 'static> std::fmt::Debug for ParSimulation<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Context;
 
     #[derive(Debug, Clone)]
     enum TMsg {
@@ -960,6 +839,78 @@ mod tests {
         let metrics = sim.merged_metrics();
         let now = sim.now();
         (received, metrics, now)
+    }
+
+    /// Differential pin for the shared dispatch body: a one-partition
+    /// [`ParSimulation`] is the monolithic kernel under another driver, so
+    /// on the same seed (partition 0's RNG stream *is* the seed) every
+    /// observable — outcome, clock, actor state, every metric, the
+    /// queue-depth series and the full obs stream — must match bit for bit.
+    #[test]
+    fn one_partition_matches_the_monolithic_kernel() {
+        let n = 24u32;
+        let gossip = || Gossip {
+            peers: n,
+            fanout: 3,
+            received: 0,
+            last_timer: None,
+        };
+        let jitter = DelayModel::Uniform {
+            lo: Duration::from_delays(1),
+            hi: Duration::from_delays(4),
+        };
+        let (crashed, max) = (ActorId(5), Time::from_delays(10_000));
+
+        let mut mono: crate::Simulation<TMsg> = crate::Simulation::new(42);
+        mono.set_default_delay(jitter.clone());
+        for _ in 0..n {
+            mono.add(gossip());
+        }
+        mono.crash_at(crashed, Time::from_delays(7));
+        mono.enable_obs();
+        let mono_out = mono.run_to_quiescence(max);
+
+        let mut par: ParSimulation<TMsg> = ParSimulation::new(42, 1, Duration::from_delays(1));
+        par.set_default_delay(jitter);
+        for _ in 0..n {
+            par.add_to(0, gossip());
+        }
+        par.crash_at(crashed, Time::from_delays(7));
+        par.enable_obs();
+        assert_eq!(par.run_to_quiescence(max), mono_out);
+        assert_eq!(mono_out, RunOutcome::Quiescent);
+
+        assert_eq!(par.now(), mono.now());
+        fn received(view: &impl ActorView, n: u32) -> Vec<u64> {
+            (0..n)
+                .map(|i| view.actor_as::<Gossip>(ActorId(i)).unwrap().received)
+                .collect()
+        }
+        assert_eq!(par.with_actors(|v| received(v, n)), received(&mono, n));
+        assert!(par.is_crashed(crashed) && mono.is_crashed(crashed));
+
+        let (a, b) = (par.merged_metrics(), mono.metrics().clone());
+        assert_eq!(a.events_dispatched, b.events_dispatched);
+        assert_eq!(a.dispatches, b.dispatches);
+        assert_eq!(a.messages_sent, b.messages_sent);
+        assert_eq!(a.messages_delivered, b.messages_delivered);
+        assert_eq!(a.timers_fired, b.timers_fired);
+        assert_eq!(
+            (a.mem_reads, a.mem_writes, a.mem_range_reads, a.perm_changes),
+            (b.mem_reads, b.mem_writes, b.mem_range_reads, b.perm_changes)
+        );
+        assert_eq!(a.peak_queue_len, b.peak_queue_len);
+        assert_eq!(a.queue_depth_samples(), b.queue_depth_samples());
+        assert_eq!(a.queue_sample_stride(), b.queue_sample_stride());
+        assert_eq!(a.decisions(), b.decisions());
+        assert_eq!(a.aborts(), b.aborts());
+        // The run must exercise what the shared body does: timers (fired
+        // and cancelled), a crash, and drops to the crashed actor.
+        assert!(b.timers_fired > 0 && b.dispatches.crash == 1 && b.dispatches.dropped > 0);
+
+        let (pa, mo) = (par.take_obs_events(), mono.take_obs_events());
+        assert!(!mo.is_empty());
+        assert_eq!(pa, mo, "obs streams differ");
     }
 
     #[test]

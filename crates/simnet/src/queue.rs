@@ -93,6 +93,8 @@ pub(crate) struct WheelQueue<M> {
     /// bitmap scans.
     cached_next: Option<Option<Time>>,
     len: usize,
+    /// Last scheduling sequence number handed out by [`WheelQueue::schedule`].
+    seq: u64,
 }
 
 impl<M> WheelQueue<M> {
@@ -105,11 +107,25 @@ impl<M> WheelQueue<M> {
             far: BinaryHeap::new(),
             cached_next: None,
             len: 0,
+            seq: 0,
         }
     }
 
     pub(crate) fn len(&self) -> usize {
         self.len
+    }
+
+    /// Pushes a new entry stamped with the next scheduling sequence number
+    /// (the kernel's tie-break among same-tick events).
+    pub(crate) fn schedule(&mut self, at: Time, to: ActorId, payload: Payload<M>) {
+        self.seq += 1;
+        let seq = self.seq;
+        self.push(Scheduled {
+            at,
+            seq,
+            to,
+            payload,
+        });
     }
 
     fn set_bit(&mut self, slot: usize) {

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::actor::{Actor, AnyActor};
+use crate::actor::{Actor, ActorView, AnyActor};
 use crate::delay::{CostClass, DelayModel};
 use crate::event::EventKind;
 use crate::ids::{ActorId, TimerId};
@@ -14,7 +14,6 @@ use crate::metrics::Metrics;
 use crate::obs::{Event, EventBody, ObsRecorder, TraceSink};
 use crate::queue::{Payload, Scheduled, WheelQueue};
 use crate::time::{Duration, Time};
-use crate::trace::Trace;
 
 /// A hook that can override the sampled delay of a specific message.
 ///
@@ -123,28 +122,34 @@ impl TimerTable {
 
 /// The per-kernel dispatch state shared by [`Simulation`] (one instance)
 /// and the partitioned kernel (one instance per partition, each with its
-/// own RNG stream): randomness, metrics, trace, link models, timers, and
-/// the pending-effects buffer a [`Context`] writes into.
+/// own RNG stream): clock, crash flags, randomness, metrics, obs recorder,
+/// link models, timers, and the pending-effects buffer a [`Context`]
+/// writes into. [`Core::dispatch`] is the one event-dispatch body both
+/// drivers call.
 pub(crate) struct Core<M> {
+    pub(crate) now: Time,
+    /// Crash flags, indexed densely by actor.
+    crashed: Vec<bool>,
     pub(crate) rng: StdRng,
     pub(crate) metrics: Metrics,
-    pub(crate) trace: Trace,
     pub(crate) obs: ObsRecorder,
     pub(crate) default_delay: DelayModel,
     pub(crate) link_overrides: BTreeMap<(ActorId, ActorId), DelayModel>,
     pub(crate) delay_hook: Option<DelayHook<M>>,
     pub(crate) timers: TimerTable,
-    /// Events emitted by the currently-dispatching actor, applied afterwards.
-    pub(crate) pending: Vec<(Time, ActorId, EventKind<M>)>,
+    /// Events emitted by the currently-dispatching actor, applied
+    /// afterwards (drained in place, so its capacity is reused).
+    pending: Vec<(Time, ActorId, EventKind<M>)>,
 }
 
 impl<M> Core<M> {
     /// A fresh dispatch core drawing randomness from `rng`.
     pub(crate) fn new(rng: StdRng) -> Core<M> {
         Core {
+            now: Time::ZERO,
+            crashed: Vec::new(),
             rng,
             metrics: Metrics::new(),
-            trace: Trace::new(),
             obs: ObsRecorder::new(),
             default_delay: DelayModel::synchronous(),
             link_overrides: BTreeMap::new(),
@@ -154,10 +159,89 @@ impl<M> Core<M> {
         }
     }
 
-    /// Retires a timer slot (used by partitioned dispatch when dropping
-    /// events to crashed actors).
-    pub(crate) fn retire_timer(&mut self, id: TimerId) -> bool {
-        self.timers.retire(id)
+    /// Whether `actor` has crashed.
+    pub(crate) fn is_crashed(&self, actor: ActorId) -> bool {
+        self.crashed.get(actor.index()).copied().unwrap_or(false)
+    }
+
+    /// Applies one popped queue entry: advances the clock, accounts
+    /// metrics, and runs the crash / drop / deliver logic — a crashed
+    /// actor takes no further steps, and events addressed to it are
+    /// dropped (a dropped timer still releases its slot). `depth` is the
+    /// queue length sampled before the pop. Every event the actor emitted
+    /// is handed to `route` in emission order: the monolithic kernel
+    /// pushes it onto its queue, a partition stages remote ones for the
+    /// barrier merge.
+    pub(crate) fn dispatch<A: Actor<M> + ?Sized>(
+        &mut self,
+        sched: Scheduled<M>,
+        depth: u64,
+        actors: &mut [Option<Box<A>>],
+        mut route: impl FnMut(Time, ActorId, EventKind<M>),
+    ) {
+        debug_assert!(sched.at >= self.now, "event queue went backwards");
+        let (now, to) = (sched.at, sched.to);
+        self.now = now;
+        let metrics = &mut self.metrics;
+        metrics.peak_queue_len = metrics.peak_queue_len.max(depth);
+        metrics.events_dispatched += 1;
+        metrics.sample_queue_depth(now, depth);
+        let ev = match sched.payload {
+            Payload::Crash => {
+                if self.crashed.len() <= to.index() {
+                    // Also covers a crash scheduled for an unregistered id.
+                    self.crashed.resize(to.index() + 1, false);
+                }
+                self.crashed[to.index()] = true;
+                self.metrics.dispatches.crash += 1;
+                self.obs.record(now, to, || EventBody::Crash);
+                return;
+            }
+            Payload::Deliver(ev) => ev,
+        };
+        if self.is_crashed(to) {
+            self.metrics.dispatches.dropped += 1;
+            let kind = ev.kind_name();
+            self.obs.record(now, to, || EventBody::Dropped { kind });
+            // Never-delivered timers still release their slot.
+            if let EventKind::Timer { id, .. } = ev {
+                self.timers.retire(id);
+            }
+            return;
+        }
+        let counts = &mut self.metrics.dispatches;
+        let body = match &ev {
+            EventKind::Start => {
+                counts.start += 1;
+                EventBody::Dispatch { kind: "start" }
+            }
+            EventKind::Msg { from, .. } => {
+                counts.msg += 1;
+                self.metrics.messages_delivered += 1;
+                EventBody::Deliver { from: *from }
+            }
+            EventKind::Timer { id, tag } => {
+                counts.timer += 1;
+                if !self.timers.retire(*id) {
+                    return; // cancelled
+                }
+                self.metrics.timers_fired += 1;
+                EventBody::TimerFired { tag: *tag }
+            }
+            EventKind::LeaderChange { leader } => {
+                counts.leader += 1;
+                EventBody::LeaderChange { leader: *leader }
+            }
+        };
+        self.obs.record(now, to, || body);
+        let mut actor = actors[to.index()]
+            .take()
+            .expect("actor dispatched re-entrantly or on the wrong partition");
+        actor.on_event(&mut Context { me: to, core: self }, ev);
+        actors[to.index()] = Some(actor);
+        for (at, to, ev) in self.pending.drain(..) {
+            route(at, to, ev);
+        }
     }
 }
 
@@ -165,17 +249,10 @@ impl<M> Core<M> {
 /// event dispatch. All effects become visible only after the handler returns.
 pub struct Context<'a, M> {
     me: ActorId,
-    now: Time,
     core: &'a mut Core<M>,
 }
 
 impl<'a, M> Context<'a, M> {
-    /// Builds the dispatch handle for one event delivery (kernel-internal;
-    /// both the monolithic and the partitioned kernel construct these).
-    pub(crate) fn new(me: ActorId, now: Time, core: &'a mut Core<M>) -> Context<'a, M> {
-        Context { me, now, core }
-    }
-
     /// The actor currently executing.
     pub fn me(&self) -> ActorId {
         self.me
@@ -183,7 +260,7 @@ impl<'a, M> Context<'a, M> {
 
     /// Current virtual time.
     pub fn now(&self) -> Time {
-        self.now
+        self.core.now
     }
 
     /// Sends `msg` to `to` over the link, with latency from the link's delay
@@ -207,13 +284,14 @@ impl<'a, M> Context<'a, M> {
             .core
             .delay_hook
             .as_ref()
-            .and_then(|h| h(self.now, self.me, to, &msg));
+            .and_then(|h| h(self.core.now, self.me, to, &msg));
         let delay = match hooked {
             Some(d) => d,
             None => {
                 // Split borrows: the model is read from one field while the
                 // RNG (a different field) advances — no per-send clone.
                 let Core {
+                    now,
                     link_overrides,
                     default_delay,
                     rng,
@@ -224,15 +302,15 @@ impl<'a, M> Context<'a, M> {
                 } else {
                     link_overrides.get(&(self.me, to)).unwrap_or(default_delay)
                 };
-                model.sample_classed(self.now, class, rng)
+                model.sample_classed(*now, class, rng)
             }
         };
         self.core.metrics.messages_sent += 1;
         let from = self.me;
-        let deliver_at = self.now + delay;
+        let deliver_at = self.core.now + delay;
         // Observability reads the already-sampled delay; it never draws
         // randomness or alters scheduling.
-        let (now, me) = (self.now, self.me);
+        let (now, me) = (self.core.now, self.me);
         self.core
             .obs
             .record(now, me, || EventBody::Send { to, deliver_at });
@@ -246,8 +324,8 @@ impl<'a, M> Context<'a, M> {
     /// [`Context::cancel_timer`].
     pub fn set_timer(&mut self, after: Duration, tag: u64) -> TimerId {
         let id = self.core.timers.arm();
-        let fire_at = self.now + after;
-        let (now, me) = (self.now, self.me);
+        let fire_at = self.core.now + after;
+        let (now, me) = (self.core.now, self.me);
         self.core
             .obs
             .record(now, me, || EventBody::TimerSet { tag, fire_at });
@@ -265,13 +343,13 @@ impl<'a, M> Context<'a, M> {
 
     /// Records that this actor decided (for the k-deciding latency metric).
     pub fn mark_decided(&mut self) {
-        let (me, now) = (self.me, self.now);
+        let (me, now) = (self.me, self.core.now);
         self.core.metrics.record_decision(me, now);
     }
 
     /// Records that this actor aborted a fast path.
     pub fn mark_aborted(&mut self) {
-        let (me, now) = (self.me, self.now);
+        let (me, now) = (self.me, self.core.now);
         self.core.metrics.record_abort(me, now);
     }
 
@@ -286,27 +364,6 @@ impl<'a, M> Context<'a, M> {
         &mut self.core.metrics
     }
 
-    /// Whether trace recording is active (so callers can skip building
-    /// expensive note strings).
-    pub fn trace_enabled(&self) -> bool {
-        self.core.trace.is_enabled()
-    }
-
-    /// Appends a line to the trace, if tracing is enabled. Prefer
-    /// [`Context::note_with`] on hot paths: this variant's argument is
-    /// built by the caller even when tracing is off.
-    pub fn note(&mut self, text: impl Into<String>) {
-        let (me, now) = (self.me, self.now);
-        self.core.trace.push(now, me, text.into());
-    }
-
-    /// Appends a lazily-built line to the trace; `f` runs only when
-    /// tracing is enabled.
-    pub fn note_with(&mut self, f: impl FnOnce() -> String) {
-        let (me, now) = (self.me, self.now);
-        self.core.trace.push_with(now, me, f);
-    }
-
     /// Whether structured event recording ([`crate::obs`]) is active, so
     /// layers can skip building expensive observation payloads.
     pub fn obs_enabled(&self) -> bool {
@@ -318,7 +375,7 @@ impl<'a, M> Context<'a, M> {
     /// command id), `stage` the lifecycle stage, `data` one
     /// application-defined word. Free when recording is disabled.
     pub fn obs_mark(&mut self, span: u64, stage: u8, data: u64) {
-        let (me, now) = (self.me, self.now);
+        let (me, now) = (self.me, self.core.now);
         self.core
             .obs
             .record(now, me, || EventBody::Mark { span, stage, data });
@@ -327,7 +384,7 @@ impl<'a, M> Context<'a, M> {
     /// Records a lazily-built structured note ([`EventBody::Note`]); `f`
     /// runs only when structured recording is enabled.
     pub fn obs_note_with(&mut self, f: impl FnOnce() -> String) {
-        let (me, now) = (self.me, self.now);
+        let (me, now) = (self.me, self.core.now);
         self.core.obs.record(now, me, || EventBody::Note {
             text: std::borrow::Cow::Owned(f()),
         });
@@ -336,7 +393,7 @@ impl<'a, M> Context<'a, M> {
     /// Records a memory-operation observation ([`EventBody::MemOp`]);
     /// called by the memory-client substrate alongside its op counters.
     pub fn obs_mem_op(&mut self, op: &'static str) {
-        let (me, now) = (self.me, self.now);
+        let (me, now) = (self.me, self.core.now);
         self.core.obs.record(now, me, || EventBody::MemOp { op });
     }
 }
@@ -392,15 +449,8 @@ pub enum RunOutcome {
 /// ```
 pub struct Simulation<M> {
     actors: Vec<Option<Box<dyn AnyActor<M>>>>,
-    /// Crash flags, indexed densely by actor.
-    crashed: Vec<bool>,
     queue: WheelQueue<M>,
-    seq: u64,
-    now: Time,
     started: bool,
-    /// Recycled buffer that `pending` swaps with during dispatch, so
-    /// dispatch never reallocates it.
-    pending_scratch: Vec<(Time, ActorId, EventKind<M>)>,
     /// Recycled buffer holding the current tick's ripe events while a
     /// choice hook picks among them.
     ripe_scratch: Vec<Scheduled<M>>,
@@ -414,12 +464,8 @@ impl<M: 'static> Simulation<M> {
     pub fn new(seed: u64) -> Simulation<M> {
         Simulation {
             actors: Vec::new(),
-            crashed: Vec::new(),
             queue: WheelQueue::new(),
-            seq: 0,
-            now: Time::ZERO,
             started: false,
-            pending_scratch: Vec::new(),
             ripe_scratch: Vec::new(),
             choice_hook: None,
             core: Core::new(StdRng::seed_from_u64(seed)),
@@ -440,7 +486,6 @@ impl<M: 'static> Simulation<M> {
         );
         let id = ActorId(self.actors.len() as u32);
         self.actors.push(Some(actor));
-        self.crashed.push(false);
         id
     }
 
@@ -479,16 +524,6 @@ impl<M: 'static> Simulation<M> {
         self.choice_hook = None;
     }
 
-    /// Enables event tracing with the given entry cap.
-    pub fn enable_trace(&mut self, cap: usize) {
-        self.core.trace.enable(cap);
-    }
-
-    /// The recorded trace.
-    pub fn trace(&self) -> &Trace {
-        &self.core.trace
-    }
-
     /// Enables structured event recording (see [`crate::obs`]). Strictly
     /// read-only: a recording run is bit-identical to a non-recording one.
     pub fn enable_obs(&mut self) {
@@ -510,14 +545,8 @@ impl<M: 'static> Simulation<M> {
     /// This is how harnesses inject leader-oracle announcements or any
     /// scripted stimulus.
     pub fn schedule(&mut self, at: Time, to: ActorId, ev: EventKind<M>) {
-        let at = at.max(self.now);
-        self.seq += 1;
-        self.queue.push(Scheduled {
-            at,
-            seq: self.seq,
-            to,
-            payload: Payload::Deliver(ev),
-        });
+        self.queue
+            .schedule(at.max(self.core.now), to, Payload::Deliver(ev));
     }
 
     /// Schedules `actor` to crash at `at`. From that instant the actor
@@ -525,14 +554,8 @@ impl<M: 'static> Simulation<M> {
     /// crashed memory hangs (its clients' outstanding operations never
     /// complete) — exactly the paper's failure semantics.
     pub fn crash_at(&mut self, actor: ActorId, at: Time) {
-        let at = at.max(self.now);
-        self.seq += 1;
-        self.queue.push(Scheduled {
-            at,
-            seq: self.seq,
-            to: actor,
-            payload: Payload::Crash,
-        });
+        self.queue
+            .schedule(at.max(self.core.now), actor, Payload::Crash);
     }
 
     /// Announces `leader` to every actor in `targets` at time `at`,
@@ -545,12 +568,12 @@ impl<M: 'static> Simulation<M> {
 
     /// Whether `actor` has crashed.
     pub fn is_crashed(&self, actor: ActorId) -> bool {
-        self.crashed.get(actor.index()).copied().unwrap_or(false)
+        self.core.is_crashed(actor)
     }
 
     /// Current virtual time.
     pub fn now(&self) -> Time {
-        self.now
+        self.core.now
     }
 
     /// Run metrics so far.
@@ -587,24 +610,11 @@ impl<M: 'static> Simulation<M> {
         }
         self.started = true;
         for i in 0..self.actors.len() {
-            let to = ActorId(i as u32);
-            self.seq += 1;
-            self.queue.push(Scheduled {
-                at: self.now,
-                seq: self.seq,
-                to,
-                payload: Payload::Deliver(EventKind::Start),
-            });
-        }
-    }
-
-    fn mark_crashed(&mut self, actor: ActorId) {
-        if let Some(flag) = self.crashed.get_mut(actor.index()) {
-            *flag = true;
-        } else {
-            // Crash scheduled for an unregistered id: remember it anyway.
-            self.crashed.resize(actor.index() + 1, false);
-            self.crashed[actor.index()] = true;
+            self.queue.schedule(
+                self.core.now,
+                ActorId(i as u32),
+                Payload::Deliver(EventKind::Start),
+            );
         }
     }
 
@@ -612,9 +622,6 @@ impl<M: 'static> Simulation<M> {
     pub fn step(&mut self) -> bool {
         self.ensure_started();
         let depth = self.queue.len() as u64;
-        if depth > self.core.metrics.peak_queue_len {
-            self.core.metrics.peak_queue_len = depth;
-        }
         let sched = if self.choice_hook.is_some() {
             match self.pop_chosen() {
                 Some(s) => s,
@@ -626,7 +633,11 @@ impl<M: 'static> Simulation<M> {
                 None => return false,
             }
         };
-        self.dispatch(sched, depth);
+        let queue = &mut self.queue;
+        self.core
+            .dispatch(sched, depth, &mut self.actors, |at, to, ev| {
+                queue.schedule(at, to, Payload::Deliver(ev))
+            });
         true
     }
 
@@ -666,124 +677,6 @@ impl<M: 'static> Simulation<M> {
         Some(chosen)
     }
 
-    /// Applies one popped queue entry: advances time, accounts metrics,
-    /// and runs the crash/deliver logic. `depth` is the queue length
-    /// sampled before the pop.
-    fn dispatch(&mut self, sched: Scheduled<M>, depth: u64) {
-        debug_assert!(sched.at >= self.now, "event queue went backwards");
-        self.now = sched.at;
-        self.core.metrics.events_dispatched += 1;
-        self.core.metrics.sample_queue_depth(self.now, depth);
-        match sched.payload {
-            Payload::Crash => {
-                self.mark_crashed(sched.to);
-                self.core.metrics.dispatches.crash += 1;
-                let (now, to) = (self.now, sched.to);
-                self.core.trace.push(now, to, "CRASH");
-                self.core.obs.record(now, to, || EventBody::Crash);
-            }
-            Payload::Deliver(ev) => {
-                if self.is_crashed(sched.to) {
-                    self.core.metrics.dispatches.dropped += 1;
-                    let (now, to) = (self.now, sched.to);
-                    let kind = ev.kind_name();
-                    self.core
-                        .trace
-                        .push_with(now, to, || format!("dropped {kind} (crashed)"));
-                    self.core
-                        .obs
-                        .record(now, to, || EventBody::Dropped { kind });
-                    // Never-delivered timers still release their slot.
-                    if let EventKind::Timer { id, .. } = ev {
-                        self.core.timers.retire(id);
-                    }
-                    return;
-                }
-                match &ev {
-                    EventKind::Start => self.core.metrics.dispatches.start += 1,
-                    EventKind::Msg { .. } => self.core.metrics.dispatches.msg += 1,
-                    EventKind::Timer { .. } => self.core.metrics.dispatches.timer += 1,
-                    EventKind::LeaderChange { .. } => self.core.metrics.dispatches.leader += 1,
-                }
-                if let EventKind::Timer { id, .. } = ev {
-                    if !self.core.timers.retire(id) {
-                        return;
-                    }
-                    self.core.metrics.timers_fired += 1;
-                }
-                if let EventKind::Msg { .. } = ev {
-                    self.core.metrics.messages_delivered += 1;
-                }
-                if self.core.trace.is_enabled() {
-                    let (now, to) = (self.now, sched.to);
-                    // Static text per event kind: no allocation.
-                    let line: &'static str = match &ev {
-                        EventKind::Start => "deliver start",
-                        EventKind::Msg { .. } => "deliver msg",
-                        EventKind::Timer { .. } => "deliver timer",
-                        EventKind::LeaderChange { .. } => "deliver leader",
-                    };
-                    self.core.trace.push(now, to, line);
-                }
-                if self.core.obs.is_enabled() {
-                    let (now, to) = (self.now, sched.to);
-                    match &ev {
-                        EventKind::Start => self
-                            .core
-                            .obs
-                            .record(now, to, || EventBody::Dispatch { kind: "start" }),
-                        EventKind::Msg { from, .. } => {
-                            let from = *from;
-                            self.core
-                                .obs
-                                .record(now, to, || EventBody::Deliver { from });
-                        }
-                        EventKind::Timer { tag, .. } => {
-                            let tag = *tag;
-                            self.core
-                                .obs
-                                .record(now, to, || EventBody::TimerFired { tag });
-                        }
-                        EventKind::LeaderChange { leader } => {
-                            let leader = *leader;
-                            self.core
-                                .obs
-                                .record(now, to, || EventBody::LeaderChange { leader });
-                        }
-                    }
-                }
-                let mut actor = self.actors[sched.to.index()]
-                    .take()
-                    .expect("actor is being dispatched re-entrantly");
-                {
-                    let mut ctx = Context {
-                        me: sched.to,
-                        now: self.now,
-                        core: &mut self.core,
-                    };
-                    actor.on_event(&mut ctx, ev);
-                }
-                self.actors[sched.to.index()] = Some(actor);
-                // Swap the pending buffer out, drain it, swap it back:
-                // its capacity is reused across every dispatch.
-                let mut batch = std::mem::replace(
-                    &mut self.core.pending,
-                    std::mem::take(&mut self.pending_scratch),
-                );
-                for (at, to, ev) in batch.drain(..) {
-                    self.seq += 1;
-                    self.queue.push(Scheduled {
-                        at,
-                        seq: self.seq,
-                        to,
-                        payload: Payload::Deliver(ev),
-                    });
-                }
-                self.pending_scratch = batch;
-            }
-        }
-    }
-
     /// Runs until the predicate holds (checked between events), the queue
     /// drains, or virtual time passes `max`.
     pub fn run_until(
@@ -812,14 +705,21 @@ impl<M: 'static> Simulation<M> {
     }
 }
 
+impl<M: 'static> ActorView for Simulation<M> {
+    fn actor_as<T: 'static>(&self, id: ActorId) -> Option<&T> {
+        Simulation::actor_as(self, id)
+    }
+}
+
 impl<M: 'static> std::fmt::Debug for Simulation<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
-            .field("now", &self.now)
+            .field("now", &self.core.now)
             .field("actors", &self.actors.len())
             .field(
                 "crashed",
                 &self
+                    .core
                     .crashed
                     .iter()
                     .enumerate()
@@ -1229,7 +1129,7 @@ mod tests {
     }
 
     fn fan_outcome(sim: &mut Simulation<TMsg>, collector: ActorId) -> (Vec<u32>, Time, u64, u64) {
-        sim.enable_trace(10_000);
+        sim.enable_obs();
         sim.run_to_quiescence(Time::from_delays(1_000));
         let arrivals = sim
             .actor_as::<FanCollector>(collector)
@@ -1237,8 +1137,8 @@ mod tests {
             .arrivals
             .clone();
         let mut h = 0xcbf29ce484222325u64;
-        for line in sim.trace().dump().bytes() {
-            h = (h ^ line as u64).wrapping_mul(0x100000001b3);
+        for byte in crate::obs::to_jsonl(&sim.take_obs_events()).bytes() {
+            h = (h ^ byte as u64).wrapping_mul(0x100000001b3);
         }
         (arrivals, sim.now(), sim.metrics().events_dispatched, h)
     }
@@ -1315,14 +1215,28 @@ mod tests {
     fn trace_records_crash_and_dropped_delivery() {
         let run = || {
             let (mut sim, ponger, _) = build(4);
-            sim.enable_trace(10_000);
+            sim.enable_obs();
             sim.crash_at(ponger, Time::from_delays(3));
             sim.run_to_quiescence(Time::from_delays(100));
-            sim.trace().dump()
+            (ponger, sim.take_obs_events())
         };
-        let a = run();
-        assert_eq!(a, run(), "trace is part of the determinism contract");
-        assert!(a.contains("CRASH"));
-        assert!(a.contains("dropped msg (crashed)"));
+        let (ponger, a) = run();
+        assert_eq!(
+            a,
+            run().1,
+            "the event stream is part of the determinism contract"
+        );
+        let at_ponger = |body: &EventBody| {
+            a.iter()
+                .filter(|e| e.actor == ponger && e.body == *body)
+                .map(|e| e.at)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(at_ponger(&EventBody::Crash), [Time::from_delays(3)]);
+        // The ping sent at t=2 lands on the crashed ponger at t=3.
+        assert_eq!(
+            at_ponger(&EventBody::Dropped { kind: "msg" }),
+            [Time::from_delays(3)]
+        );
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! 1. **Recorded fixtures** — seeded runs (common-case, jittered,
 //!    crash-and-failover) must keep producing exactly these decision
-//!    times, message counts, memory-op counts, and trace dumps. If a
+//!    times, message counts, memory-op counts, and event-stream dumps. If a
 //!    kernel change shifts any schedule, these fail before anything
 //!    subtler does. The pre-overhaul heap kernel once served as a live
 //!    differential reference (the `Legacy` profile); it is retired —
@@ -21,6 +21,7 @@ use agreement::harness::{
 use agreement::protected::memory_actor;
 use agreement::smr::SmrNode;
 use agreement::types::{Msg, Value};
+use simnet::obs::{self, EventBody};
 use simnet::{ActorId, DelayModel, Duration, Simulation, Time};
 
 #[test]
@@ -160,18 +161,26 @@ fn golden_crash_failover_schedules_are_pinned() {
     }
 }
 
+/// FNV-1a over a byte string: the trace fixture's dump fingerprint.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[test]
 fn golden_smr_trace_fixture() {
-    // Full SMR cluster with tracing on and a mid-run memory crash: the
-    // decision schedule, message/mem-op counts, and the byte-exact trace
-    // dump are all pinned (and must reproduce across fresh kernels).
+    // Full SMR cluster with event recording on and a mid-run memory
+    // crash: the decision schedule, message/mem-op counts, and the
+    // byte-exact JSONL dump of the recorded event stream are all pinned
+    // (and must reproduce across fresh kernels).
+    let n = 3u32;
+    let m = 3u32;
+    let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
     let run = || {
-        let n = 3u32;
-        let m = 3u32;
         let mut sim: Simulation<Msg> = Simulation::new(11);
-        sim.enable_trace(100_000);
+        sim.enable_obs();
         let procs: Vec<ActorId> = (0..n).map(ActorId).collect();
-        let mems: Vec<ActorId> = (n..n + m).map(ActorId).collect();
         for i in 0..n {
             let workload: Vec<Value> = (0..12).map(|c| Value(100 * (i as u64 + 1) + c)).collect();
             sim.add(SmrNode::new(
@@ -188,7 +197,7 @@ fn golden_smr_trace_fixture() {
             sim.add(memory_actor(ActorId(0)));
         }
         // A mid-run crash of one memory exercises the drop-to-crashed
-        // trace path.
+        // path.
         sim.crash_at(mems[2], Time::from_delays(9));
         sim.run_to_quiescence(Time::from_delays(60));
         let leader = sim.actor_as::<SmrNode>(ActorId(0)).unwrap();
@@ -197,18 +206,35 @@ fn golden_smr_trace_fixture() {
             leader.decided_at().to_vec(),
             sim.metrics().messages_sent,
             sim.metrics().mem_ops(),
-            sim.trace().dump(),
+            sim.take_obs_events(),
         )
     };
-    let (log, decided, msgs, ops, trace) = run();
+    let (log, decided, msgs, ops, events) = run();
     assert_eq!(log, (0..12).map(|c| Value(100 + c)).collect::<Vec<_>>());
     assert_eq!(decided.len(), 12);
     assert_eq!((msgs, ops), (81, 36), "trace fixture schedule shifted");
-    assert!(trace.contains("CRASH"));
-    assert!(trace.contains("dropped msg (crashed)"));
-    let (log2, decided2, msgs2, ops2, trace2) = run();
+    let crashes: Vec<_> = events
+        .iter()
+        .filter(|e| e.body == EventBody::Crash)
+        .map(|e| (e.actor, e.at))
+        .collect();
+    assert_eq!(crashes, [(mems[2], Time::from_delays(9))]);
+    assert!(events
+        .iter()
+        .any(|e| e.actor == mems[2] && e.body == EventBody::Dropped { kind: "msg" }));
+    let dump = obs::to_jsonl(&events);
+    assert_eq!(
+        (dump.len(), fnv1a(dump.as_bytes())),
+        (20_658, 0xb66f_357f_cf3b_e8da),
+        "trace fixture dump shifted"
+    );
+    let (log2, decided2, msgs2, ops2, events2) = run();
     assert_eq!((log, decided, msgs, ops), (log2, decided2, msgs2, ops2));
-    assert_eq!(trace, trace2, "trace dumps diverged across runs");
+    assert_eq!(
+        dump,
+        obs::to_jsonl(&events2),
+        "trace dumps diverged across runs"
+    );
 }
 
 #[test]
